@@ -55,6 +55,13 @@ pub struct GenerationMark {
 /// workload session, the knowledge base, and the history needed for
 /// delta scans. Cheap to hold (`Arc`s all the way down) and safe to scan
 /// from any thread for as long as the caller keeps it.
+///
+/// Snapshots share rather than copy. A resident plan is immutable after
+/// construction ([`TransformedQep`] holds its plan, graph and summary
+/// behind `Arc`s), so generation N+1 references the very plans of
+/// generation N: an ingest adds one pointer per resident plus the new
+/// plan, a KB reload shares the whole session, and releasing an old
+/// snapshot only decrements reference counts.
 #[derive(Debug)]
 pub struct SessionSnapshot {
     generation: u64,
@@ -338,8 +345,9 @@ impl SessionManager {
 
     /// Durably ingest one plan: transform, append to the on-disk
     /// repository (fsync'd frames-then-index — see `Repository::append`),
-    /// then publish the successor snapshot. In-flight readers keep the
-    /// snapshot they started with.
+    /// then publish the successor snapshot, which shares every resident
+    /// plan and the ad-hoc matcher cache with the predecessor. In-flight
+    /// readers keep the snapshot they started with.
     ///
     /// `source_file` is recorded in the repository as the record's
     /// provenance (e.g. the uploaded filename, or `"v1-ingest"`).
@@ -365,9 +373,7 @@ impl SessionManager {
             std::slice::from_ref(&record),
         )
         .map_err(classify_append_error)?;
-        let mut workload = prev.session.workload().to_vec();
-        workload.push(transformed);
-        let session = OptImatch::from_transformed(workload).with_defaults(prev.session.defaults());
+        let session = prev.session.successor(transformed);
         let workload_len = session.len();
         let generation = prev.generation + 1;
         let mut marks = prev.marks.clone();
@@ -525,6 +531,59 @@ mod tests {
         let after = manager.current();
         assert_eq!(after.generation(), 1);
         assert_eq!(after.session().len(), 3);
+        std::fs::remove_dir_all(repo.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn ingest_shares_resident_plans_with_the_predecessor() {
+        // The plan parts are `std` Arcs whatever the sync facade is.
+        use std::sync::Arc;
+        let repo = temp_repo("share");
+        let manager = manager_over(&repo);
+        let kb = builtin::paper_kb();
+        let before = manager.current();
+        let before_reports = before.session().scan(&kb).unwrap();
+        manager.ingest(fixtures::fig7(), "fig7.qep").unwrap();
+        let after = manager.current();
+
+        let (old, new) = (before.session().workload(), after.session().workload());
+        assert_eq!(new.len(), old.len() + 1);
+        for (a, b) in old.iter().zip(new) {
+            assert!(Arc::ptr_eq(&a.qep, &b.qep), "{} plan copied", a.qep.id);
+            assert!(Arc::ptr_eq(&a.graph, &b.graph), "{} graph copied", a.qep.id);
+            assert!(Arc::ptr_eq(&a.summary, &b.summary));
+            assert_eq!(Arc::strong_count(&b.graph), 2);
+        }
+
+        // A reader still holding generation 0 keeps its length and reports.
+        assert_eq!(before.session().len(), 2);
+        assert_eq!(before.session().scan(&kb).unwrap(), before_reports);
+
+        // Releasing generation 0 releases only its references.
+        drop(before);
+        assert!(new.iter().all(|t| Arc::strong_count(&t.graph) == 1));
+        std::fs::remove_dir_all(repo.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn ingest_keeps_the_matcher_cache_and_defaults() {
+        let repo = temp_repo("cache");
+        let opened = OptImatch::open(
+            Source::Repo(repo.clone()),
+            OpenOptions::new().threads(3).prune(false),
+        )
+        .unwrap();
+        let defaults = opened.session.defaults();
+        let manager = SessionManager::new(opened.session, builtin::paper_kb(), Some(repo.clone()));
+        let pattern = builtin::pattern_a().pattern;
+
+        let before = manager.current().session().search(&pattern).unwrap();
+        manager.ingest(fixtures::fig7(), "fig7.qep").unwrap();
+        let snap = manager.current();
+        assert_eq!(snap.session().search(&pattern).unwrap(), before);
+        let cache = &snap.session().cache;
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+        assert_eq!(snap.session().defaults(), defaults);
         std::fs::remove_dir_all(repo.parent().unwrap()).ok();
     }
 

@@ -12,7 +12,8 @@
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 
-use optimatch_qep::parse_qep;
+use optimatch_qep::{parse_qep, Qep};
+use optimatch_rdf::Graph;
 use optimatch_repo::{RepoRecord, Repository, StoredSummary};
 
 use crate::error::Error;
@@ -25,7 +26,8 @@ use crate::transform::TransformedQep;
 /// carried into the repository.
 pub const MANIFEST_FILE: &str = "MANIFEST.tsv";
 
-/// Capture a transformed QEP as a repository record.
+/// Capture a transformed QEP as a repository record. The record owns
+/// its plan and graph, so this copies the one plan being written.
 pub fn snapshot(t: &TransformedQep, source_file: &str, labels: Vec<String>) -> RepoRecord {
     RepoRecord {
         id: t.qep.id.clone(),
@@ -37,8 +39,8 @@ pub fn snapshot(t: &TransformedQep, source_file: &str, labels: Vec<String>) -> R
             op_count: t.summary.op_count as u64,
             max_fan_in: t.summary.max_fan_in as u64,
         },
-        qep: t.qep.clone(),
-        graph: t.graph.clone(),
+        qep: Qep::clone(&t.qep),
+        graph: Graph::clone(&t.graph),
     }
 }
 
@@ -57,9 +59,9 @@ pub fn restore(record: RepoRecord) -> TransformedQep {
         max_fan_in: record.summary.max_fan_in as usize,
     };
     TransformedQep {
-        qep: record.qep,
-        graph: record.graph,
-        summary,
+        qep: record.qep.into(),
+        graph: record.graph.into(),
+        summary: summary.into(),
     }
 }
 
@@ -209,7 +211,7 @@ mod tests {
         assert_eq!(restored.graph.len(), t.graph.len());
         // The restored summary equals what a fresh transform would compute.
         assert_eq!(
-            restored.summary,
+            *restored.summary,
             FeatureSummary::of_graph(&restored.qep, &restored.graph)
         );
     }

@@ -90,7 +90,9 @@ impl std::fmt::Display for SkippedFile {
 pub struct OptImatch {
     workload: Vec<TransformedQep>,
     timings: Mutex<Timings>,
-    cache: MatcherCache,
+    /// Shared with every [`OptImatch::successor`]. Plain `std` Arc (not
+    /// the loom facade): the cache locks internally and has no protocol.
+    pub(crate) cache: std::sync::Arc<MatcherCache>,
     defaults: ScanOptions,
 }
 
@@ -106,7 +108,7 @@ impl OptImatch {
                 transform: start.elapsed(),
                 ..Timings::default()
             }),
-            cache: MatcherCache::new(),
+            cache: Default::default(),
             defaults: ScanOptions::default(),
         }
     }
@@ -120,7 +122,7 @@ impl OptImatch {
         OptImatch {
             workload,
             timings: Mutex::new(Timings::default()),
-            cache: MatcherCache::new(),
+            cache: Default::default(),
             defaults: ScanOptions::default(),
         }
     }
@@ -136,6 +138,24 @@ impl OptImatch {
     /// The session's baseline [`ScanOptions`].
     pub fn defaults(&self) -> ScanOptions {
         self.defaults
+    }
+
+    /// The session that follows this one once `plan` is ingested: this
+    /// workload plus `plan`, the same baseline [`ScanOptions`], and the
+    /// same ad-hoc matcher cache (matchers depend only on the pattern).
+    /// Resident plans are shared, not copied: each costs one
+    /// [`TransformedQep`] clone, three reference-count increments.
+    /// `self` is untouched; readers holding it keep it.
+    pub(crate) fn successor(&self, plan: TransformedQep) -> OptImatch {
+        let mut workload = Vec::with_capacity(self.workload.len() + 1);
+        workload.extend_from_slice(&self.workload);
+        workload.push(plan);
+        OptImatch {
+            workload,
+            timings: Mutex::new(Timings::default()),
+            cache: std::sync::Arc::clone(&self.cache),
+            defaults: self.defaults,
+        }
     }
 
     /// The `*.qep` / `*.exp` / `*.txt` files in a directory, sorted.

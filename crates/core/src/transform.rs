@@ -13,6 +13,10 @@
 //! example — `hasTotalCostIncrease`, the operator's cumulative cost minus
 //! its operator inputs' — is emitted for every operator.
 
+// Plain `std` Arc (not the `crate::sync` facade): the plan parts are
+// immutable and carry no concurrency protocol to model-check.
+use std::sync::Arc;
+
 use optimatch_qep::{InputSource, JoinModifier, PredicateKind, Qep, StreamKind};
 use optimatch_rdf::numeric::format_double;
 use optimatch_rdf::{Graph, Term};
@@ -21,14 +25,20 @@ use crate::features::FeatureSummary;
 use crate::vocab::{self, names};
 
 /// A QEP together with its RDF graph — the unit the matcher works on.
+///
+/// Immutable after construction. The plan, graph and summary each sit
+/// behind an `Arc`, so a clone copies three pointers, never the plan:
+/// successive session snapshots share one copy of every resident plan
+/// (an ingest's successor workload is the predecessor's pointers plus
+/// the new plan), and dropping an old snapshot only decrements counts.
 #[derive(Debug, Clone)]
 pub struct TransformedQep {
     /// The source plan (kept for de-transformation and tagging context).
-    pub qep: Qep,
+    pub qep: Arc<Qep>,
     /// The derived RDF graph.
-    pub graph: Graph,
+    pub graph: Arc<Graph>,
     /// Cheap pruning facts about the graph (see [`crate::features`]).
-    pub summary: FeatureSummary,
+    pub summary: Arc<FeatureSummary>,
 }
 
 impl TransformedQep {
@@ -37,9 +47,9 @@ impl TransformedQep {
         let graph = transform_qep(&qep);
         let summary = FeatureSummary::of_graph(&qep, &graph);
         TransformedQep {
-            qep,
-            graph,
-            summary,
+            qep: Arc::new(qep),
+            graph: Arc::new(graph),
+            summary: Arc::new(summary),
         }
     }
 }
