@@ -10,9 +10,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use optimatch_bench::{paper_workload, transform_all};
 use optimatch_core::compile::compile_pattern;
-use optimatch_core::{builtin, transform_qep, Matcher};
-use optimatch_sparql::eval::evaluate_with_options;
-use optimatch_sparql::{algebra, parse_query};
+use optimatch_core::{builtin, transform_qep, Matcher, ScanOptions};
+use optimatch_sparql::eval::evaluate;
+use optimatch_sparql::{algebra, parse_query, Budget, PlanOptions};
 
 fn bench_reordering(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_bgp_reordering");
@@ -33,8 +33,10 @@ fn bench_reordering(c: &mut Criterion) {
                     b.iter(|| {
                         let mut hits = 0usize;
                         for t in &transformed {
-                            let table =
-                                evaluate_with_options(&t.graph, &plan, reorder).expect("evaluates");
+                            let options = PlanOptions::default().optimize(reorder);
+                            let (table, _) =
+                                evaluate(&t.graph, &plan, options, &Budget::unlimited())
+                                    .expect("evaluates");
                             hits += usize::from(!table.is_empty());
                         }
                         hits
@@ -59,8 +61,9 @@ fn bench_parse_hoisting(c: &mut Criterion) {
         let matcher = Matcher::compile(&entry.pattern).expect("compiles");
         b.iter(|| {
             matcher
-                .matching_qep_ids(&transformed)
+                .search_workload(&transformed, &ScanOptions::default().fail_fast(true))
                 .expect("matches")
+                .qep_ids()
                 .len()
         })
     });

@@ -39,7 +39,15 @@ fn bench_fig10(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(entry.name.clone(), ops),
                 plan,
-                |b, plan| b.iter(|| matcher.find(plan).expect("matching succeeds").len()),
+                |b, plan| {
+                    b.iter(|| {
+                        matcher
+                            .find_traced(plan, &optimatch_sparql::Budget::unlimited(), true)
+                            .expect("matching succeeds")
+                            .0
+                            .len()
+                    })
+                },
             );
         }
     }

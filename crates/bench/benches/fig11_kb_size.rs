@@ -10,6 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use optimatch_bench::{paper_workload, transform_all};
 use optimatch_core::builtin::synthetic_kb;
+use optimatch_core::ScanOptions;
 
 fn bench_fig11(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig11_kb_size");
@@ -22,7 +23,12 @@ fn bench_fig11(c: &mut Criterion) {
         let kb = synthetic_kb(n);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("kb_entries", n), &kb, |b, kb| {
-            b.iter(|| kb.scan_workload(&transformed).expect("scan succeeds").len())
+            b.iter(|| {
+                kb.scan_workload_with(&transformed, ScanOptions::default())
+                    .expect("scan succeeds")
+                    .reports
+                    .len()
+            })
         });
     }
     group.finish();

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use optimatch_bench::{paper_workload, transform_all};
-use optimatch_core::{builtin, Matcher};
+use optimatch_core::{builtin, Matcher, ScanOptions};
 
 fn bench_fig9(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig9_workload_size");
@@ -31,8 +31,9 @@ fn bench_fig9(c: &mut Criterion) {
                 |b, slice| {
                     b.iter(|| {
                         matcher
-                            .matching_qep_ids(slice)
+                            .search_workload(slice, &ScanOptions::default().fail_fast(true))
                             .expect("matching succeeds")
+                            .qep_ids()
                             .len()
                     })
                 },

@@ -22,7 +22,7 @@ use rand::SeedableRng;
 
 use optimatch_bench::{linear_fit, paper_workload, transform_all, EXPERIMENT_SEED};
 use optimatch_core::builtin::{self, synthetic_kb};
-use optimatch_core::{Matcher, TransformedQep};
+use optimatch_core::{Matcher, ScanOptions, SearchOutcome, TransformedQep};
 use optimatch_workload::manual::{precision, GrepExpert, ManualTimeModel};
 use optimatch_workload::{
     generate_workload, study_workload, GeneratorConfig, InjectionConfig, PatternId, PlanGenerator,
@@ -61,6 +61,14 @@ fn main() {
     }
 }
 
+/// The timed pattern search: one fail-fast pass of `matcher` over
+/// `workload`, pruning on.
+fn search(matcher: &Matcher, workload: &[TransformedQep]) -> SearchOutcome {
+    matcher
+        .search_workload(workload, &ScanOptions::default().fail_fast(true))
+        .expect("matches")
+}
+
 /// Shape gate: scaled-down experiments with pass/fail assertions on the
 /// claims EXPERIMENTS.md makes. Exits non-zero on the first failure.
 fn check() {
@@ -86,7 +94,7 @@ fn check() {
             for &n in &sizes {
                 let start = Instant::now();
                 for _ in 0..2 {
-                    let _ = matcher.matching_qep_ids(&ts[..n]).expect("matches");
+                    let _ = search(&matcher, &ts[..n]);
                 }
                 xs.push(n as f64);
                 ys.push(start.elapsed().as_secs_f64());
@@ -109,7 +117,9 @@ fn check() {
         for n in [1usize, 10, 50] {
             let kb = synthetic_kb(n);
             let start = Instant::now();
-            let _ = kb.scan_workload(&ts).expect("scans");
+            let _ = kb
+                .scan_workload_with(&ts, ScanOptions::default())
+                .expect("scans");
             xs.push(n as f64);
             ys.push(start.elapsed().as_secs_f64());
         }
@@ -152,7 +162,8 @@ fn check() {
                 format!("{pid:?}: manual found {hits} (expect {found_expect})"),
             );
             let matcher = Matcher::compile(&entry.pattern).expect("compiles");
-            let mut tool = matcher.matching_qep_ids(&ts).expect("matches");
+            let outcome = search(&matcher, &ts);
+            let mut tool = outcome.qep_ids();
             tool.sort();
             let mut truth_sorted: Vec<String> = truth.iter().map(|s| s.to_string()).collect();
             truth_sorted.sort();
@@ -216,10 +227,7 @@ fn fig9(quick: bool) {
         for (n, durs) in rows.iter_mut() {
             for (mi, matcher) in matchers.iter().enumerate() {
                 let start = Instant::now();
-                let found = matcher
-                    .matching_qep_ids(&transformed[..*n])
-                    .expect("matches");
-                let _ = found.len();
+                let _ = search(matcher, &transformed[..*n]);
                 durs[mi] += start.elapsed();
             }
         }
@@ -312,7 +320,9 @@ fn fig10() {
             // Repeat the per-plan match a few times for stable numbers.
             for _ in 0..5 {
                 for plan in &plans {
-                    let _ = matcher.find(plan).expect("matches").len();
+                    let _ = matcher
+                        .find_traced(plan, &optimatch_sparql::Budget::unlimited(), true)
+                        .expect("matches");
                 }
             }
             let per_qep = start.elapsed().as_secs_f64() / (5.0 * plans.len() as f64);
@@ -347,7 +357,10 @@ fn fig11(quick: bool) {
     for n in [1usize, 10, 100, 250] {
         let kb = synthetic_kb(n);
         let start = Instant::now();
-        let reports = kb.scan_workload(&transformed).expect("scan succeeds");
+        let reports = kb
+            .scan_workload_with(&transformed, ScanOptions::default())
+            .expect("scan succeeds")
+            .reports;
         let elapsed = start.elapsed();
         assert_eq!(reports.len(), transformed.len());
         println!("| {n} | {} |", fmt_dur(elapsed));
@@ -387,9 +400,8 @@ fn fig12() {
     {
         let matcher = Matcher::compile(&entry.pattern).expect("compiles");
         let start = Instant::now();
-        let found = matcher.matching_qep_ids(&transformed).expect("matches");
+        let _ = search(&matcher, &transformed);
         let tool_time = start.elapsed() + GUI_ENTRY;
-        let _ = found.len();
         let manual_time = model.time_for(pid, transformed.len());
         println!(
             "| #{} ({:?}) | {} | {} | {:.0}x |",
@@ -406,7 +418,7 @@ fn fig12() {
     let (t1000, _) = transform_all(&w1000);
     let matcher = Matcher::compile(&builtin::pattern_a().pattern).expect("compiles");
     let start = Instant::now();
-    let _ = matcher.matching_qep_ids(&t1000).expect("matches");
+    let _ = search(&matcher, &t1000);
     let tool = start.elapsed() + GUI_ENTRY;
     let manual = ManualTimeModel::default().time_for(PatternId::A, 1000);
     println!();
@@ -439,7 +451,11 @@ fn table1() {
         let manual_p = precision(&found, &truth);
 
         let matcher = Matcher::compile(&entry.pattern).expect("compiles");
-        let tool_found = matcher.matching_qep_ids(&transformed).expect("matches");
+        let tool_found: Vec<String> = search(&matcher, &transformed)
+            .qep_ids()
+            .into_iter()
+            .map(String::from)
+            .collect();
         let tool_p = precision(&tool_found, &truth);
         // The tool must also produce no false positives.
         let tool_fp = tool_found

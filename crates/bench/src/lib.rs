@@ -3,7 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use optimatch_core::{KnowledgeBase, Matcher, TransformedQep};
+use optimatch_core::{KnowledgeBase, Matcher, ScanOptions, TransformedQep};
 use optimatch_workload::{
     generate_workload, GeneratorConfig, InjectionConfig, Workload, WorkloadConfig,
 };
@@ -34,17 +34,19 @@ pub fn transform_all(w: &Workload) -> (Vec<TransformedQep>, Duration) {
 /// Time a full pattern search over a transformed workload.
 pub fn time_search(matcher: &Matcher, workload: &[TransformedQep]) -> (usize, Duration) {
     let start = Instant::now();
-    let ids = matcher
-        .matching_qep_ids(workload)
+    let outcome = matcher
+        .search_workload(workload, &ScanOptions::default().fail_fast(true))
         .expect("benchmark patterns are valid");
-    (ids.len(), start.elapsed())
+    (outcome.qep_ids().len(), start.elapsed())
 }
 
 /// Time a knowledge-base scan over a transformed workload.
 pub fn time_kb_scan(kb: &KnowledgeBase, workload: &[TransformedQep]) -> Duration {
     let start = Instant::now();
-    let reports = kb.scan_workload(workload).expect("KB scans are valid");
-    assert_eq!(reports.len(), workload.len());
+    let outcome = kb
+        .scan_workload_with(workload, ScanOptions::default())
+        .expect("KB scans are valid");
+    assert_eq!(outcome.reports.len(), workload.len());
     start.elapsed()
 }
 

@@ -505,9 +505,11 @@ fn cmd_search(args: &Args) -> Result<CmdOutput, CliError> {
             .prune(false)
             .optimize(!args.flag("no-optimize")),
     )?;
+    let started = std::time::Instant::now();
     let outcome = session
         .search_with(&pattern, &options)
         .map_err(|e| CliError(e.to_string()))?;
+    let took = started.elapsed();
     let matches = outcome.matches;
     let mut out = warning_lines(&skipped);
     out.push_str(&incident_lines(&outcome.incidents));
@@ -521,7 +523,7 @@ fn cmd_search(args: &Args) -> Result<CmdOutput, CliError> {
             .map(|m| m.qep_id.as_str())
             .collect::<std::collections::BTreeSet<_>>()
             .len(),
-        session.timings().matching,
+        took,
     );
     for m in &matches {
         let _ = write!(out, "  {}:", m.qep_id);
@@ -558,9 +560,11 @@ fn cmd_scan(args: &Args) -> Result<CmdOutput, CliError> {
             .prune(!args.flag("no-prune"))
             .optimize(!args.flag("no-optimize")),
     )?;
+    let started = std::time::Instant::now();
     let outcome = session
         .scan_with(&kb, options)
         .map_err(|e| CliError(e.to_string()))?;
+    let took = started.elapsed();
     let degraded = outcome.is_degraded();
     let reports = outcome.reports;
 
@@ -585,7 +589,7 @@ fn cmd_scan(args: &Args) -> Result<CmdOutput, CliError> {
         reports.len(),
         kb.len(),
         flagged,
-        session.timings().matching,
+        took,
     );
     let stats = outcome.stats;
     let _ = writeln!(

@@ -441,7 +441,11 @@ mod tests {
         }
         let t = crate::transform::TransformedQep::new(q);
         let m = crate::matcher::Matcher::compile(&pattern_fetch_dominant().pattern).unwrap();
-        assert!(!m.find(&t).unwrap().is_empty());
+        assert!(!m
+            .find_traced(&t, &optimatch_sparql::Budget::unlimited(), true)
+            .unwrap()
+            .0
+            .is_empty());
     }
 
     #[test]
@@ -474,7 +478,13 @@ mod tests {
 
         let t = crate::transform::TransformedQep::new(q.clone());
         let m = crate::matcher::Matcher::compile(&pattern_cartesian_join().pattern).unwrap();
-        assert_eq!(m.find(&t).unwrap().len(), 1);
+        assert_eq!(
+            m.find_traced(&t, &optimatch_sparql::Budget::unlimited(), true)
+                .unwrap()
+                .0
+                .len(),
+            1
+        );
 
         // Adding a join predicate removes the match.
         q.ops
@@ -486,11 +496,19 @@ mod tests {
                 text: "(Q1.A = Q2.A)".into(),
             });
         let t = crate::transform::TransformedQep::new(q);
-        assert!(m.find(&t).unwrap().is_empty());
+        assert!(m
+            .find_traced(&t, &optimatch_sparql::Budget::unlimited(), true)
+            .unwrap()
+            .0
+            .is_empty());
 
         // Fig 1's NLJOIN has a join predicate: no match there either.
         let fig1 = crate::transform::TransformedQep::new(optimatch_qep::fixtures::fig1());
-        assert!(m.find(&fig1).unwrap().is_empty());
+        assert!(m
+            .find_traced(&fig1, &optimatch_sparql::Budget::unlimited(), true)
+            .unwrap()
+            .0
+            .is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Test-only fault injection for the scan containment boundary.
 //!
 //! The chaos test harness arms a process-global trigger against a pattern
-//! *name*; [`crate::matcher::Matcher::find_budgeted`] consults it before
+//! *name*; [`crate::matcher::Matcher::find_traced`] consults it before
 //! evaluating, so an injected panic or error travels the exact code path
 //! a real matcher failure would. Disarmed (the default), the check is a
 //! single relaxed atomic load.

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::Error;
-use crate::kb::KnowledgeBase;
+use crate::kb::{KnowledgeBase, ScanOptions};
 use crate::transform::TransformedQep;
 
 /// Feature vector for one plan.
@@ -233,7 +233,9 @@ pub fn correlate_patterns(
     workload: &[TransformedQep],
 ) -> Result<Vec<ClusterPatternStat>, Error> {
     assert_eq!(clustering.assignments.len(), workload.len());
-    let reports = kb.scan_workload(workload)?;
+    let reports = kb
+        .scan_workload_with(workload, ScanOptions::default())?
+        .reports;
 
     let mut stats = Vec::new();
     for entry in kb.entries() {

@@ -357,6 +357,16 @@ impl ScanOutcome {
     pub fn render_json(&self) -> String {
         render_scan_json(&self.reports, &self.incidents)
     }
+
+    /// Append the outcome of the workload chunk that follows this one.
+    fn absorb(&mut self, next: ScanOutcome) {
+        self.reports.extend(next.reports);
+        self.stats.merge(&next.stats);
+        self.incidents.extend(next.incidents);
+        self.fuel_spent = self.fuel_spent.saturating_add(next.fuel_spent);
+        self.samples.extend(next.samples);
+        self.planner.absorb(&next.planner);
+    }
 }
 
 /// Render scan results as the canonical `{reports, incidents}` JSON
@@ -377,6 +387,54 @@ pub fn render_scan_json(reports: &[QepReport], incidents: &[ScanIncident]) -> St
     text
 }
 
+/// The accounts of a loop over (entry × QEP) units. Workload scans,
+/// ad-hoc searches, and regression diagnosis all run their units through
+/// [`UnitRunner::run`], so pruning, containment, fuel, planner, and
+/// incident bookkeeping live in this one place.
+#[derive(Debug, Default)]
+pub(crate) struct UnitRunner {
+    pub(crate) stats: PruneStats,
+    pub(crate) incidents: Vec<ScanIncident>,
+    pub(crate) fuel_spent: u64,
+    pub(crate) planner: EvalStats,
+}
+
+impl UnitRunner {
+    /// Run one (entry × QEP) unit. With `options.prune`, a unit the
+    /// feature index proves cannot match yields no matches without
+    /// touching the evaluator; otherwise it runs inside [`run_contained`].
+    /// A failed unit is recorded and yields `None` — or, with
+    /// `options.fail_fast`, aborts the loop as [`Error::Incident`].
+    pub(crate) fn run(
+        &mut self,
+        matcher: &Matcher,
+        entry: &str,
+        t: &TransformedQep,
+        options: &ScanOptions,
+    ) -> Result<Option<Vec<PatternMatch>>, Error> {
+        self.stats.candidates += 1;
+        if options.prune && !matcher.could_match(t) {
+            self.stats.pruned += 1;
+            return Ok(Some(Vec::new()));
+        }
+        self.stats.evaluated += 1;
+        match run_contained(matcher, entry, t, options) {
+            Ok((matches, fuel, planner)) => {
+                self.fuel_spent = self.fuel_spent.saturating_add(fuel);
+                self.planner.absorb(&planner);
+                self.stats.matched += usize::from(!matches.is_empty());
+                Ok(Some(matches))
+            }
+            Err(incident) if options.fail_fast => Err(Error::Incident(Box::new(incident))),
+            Err(incident) => {
+                self.fuel_spent = self.fuel_spent.saturating_add(incident.fuel_spent);
+                self.incidents.push(incident);
+                Ok(None)
+            }
+        }
+    }
+}
+
 /// Run one (entry × QEP) matcher unit inside the containment boundary: a
 /// fresh [`optimatch_sparql::Budget`] bounds its evaluation and
 /// `catch_unwind` converts a panic into a recorded incident (payload
@@ -384,7 +442,7 @@ pub fn render_scan_json(reports: &[QepReport], incidents: &[ScanIncident]) -> St
 /// the steps the unit consumed, so callers can keep workload-level fuel
 /// totals, plus the unit's planner decision trace; failed units report
 /// their consumption on the incident.
-pub(crate) fn run_contained(
+fn run_contained(
     matcher: &Matcher,
     entry_name: &str,
     t: &TransformedQep,
@@ -507,230 +565,107 @@ impl KnowledgeBase {
         Some(self.compiled[idx].matcher.sparql())
     }
 
-    /// Algorithm 5: scan one QEP against every entry, returning ranked,
-    /// context-adapted recommendations. Prunes via the feature index.
-    pub fn scan_qep(&self, t: &TransformedQep) -> Result<QepReport, Error> {
-        self.scan_qep_with(t, true, &mut PruneStats::default())
-    }
-
-    /// [`KnowledgeBase::scan_qep`] with explicit pruning control and
-    /// counters: entries whose required features the graph lacks are
-    /// skipped without invoking the SPARQL evaluator when `prune` is set.
-    ///
-    /// Runs fail-fast: a panicking or erroring matcher surfaces as a
-    /// typed [`Error::Incident`], never a propagated panic.
-    pub fn scan_qep_with(
-        &self,
-        t: &TransformedQep,
-        prune: bool,
-        stats: &mut PruneStats,
-    ) -> Result<QepReport, Error> {
-        let options = ScanOptions::default().prune(prune).fail_fast(true);
-        let mut incidents = Vec::new();
-        self.scan_qep_governed(
-            t,
-            &options,
-            stats,
-            &mut incidents,
-            &mut 0,
-            &mut Vec::new(),
-            &mut EvalStats::default(),
-        )
-    }
-
-    /// The contained per-QEP scan unit loop: every (entry × QEP) matcher
-    /// run is budgeted and panic-contained via [`run_contained`]. A
-    /// failing unit either aborts the scan (`fail_fast`) or is appended
-    /// to `incidents` (entry order) and its entry simply contributes no
-    /// recommendation for this QEP.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_qep_governed(
-        &self,
-        t: &TransformedQep,
-        options: &ScanOptions,
-        stats: &mut PruneStats,
-        incidents: &mut Vec<ScanIncident>,
-        fuel_spent: &mut u64,
-        samples: &mut Vec<MatchSample>,
-        planner: &mut EvalStats,
-    ) -> Result<QepReport, Error> {
-        let mut recommendations = Vec::new();
-        for (entry, compiled) in self.entries.iter().zip(&self.compiled) {
-            stats.candidates += 1;
-            if options.prune && !compiled.matcher.could_match(t) {
-                stats.pruned += 1;
-                continue;
-            }
-            stats.evaluated += 1;
-            let matches: Vec<PatternMatch> =
-                match run_contained(&compiled.matcher, &entry.name, t, options) {
-                    Ok((matches, fuel, trace)) => {
-                        *fuel_spent = fuel_spent.saturating_add(fuel);
-                        planner.absorb(&trace);
-                        matches
-                    }
-                    Err(incident) => {
-                        if options.fail_fast {
-                            return Err(Error::Incident(Box::new(incident)));
-                        }
-                        *fuel_spent = fuel_spent.saturating_add(incident.fuel_spent);
-                        incidents.push(incident);
-                        continue;
-                    }
-                };
-            if matches.is_empty() {
-                continue;
-            }
-            stats.matched += 1;
-            let text = compiled.template.render(&matches, &t.qep);
-            let (confidence, cost_share) = best_match_features(entry, &matches, t);
-            samples.push(MatchSample {
-                entry: entry.name.clone(),
-                qep_id: t.qep.id.clone(),
-                confidence,
-                cost_share,
-            });
-            recommendations.push(Recommendation {
-                entry: entry.name.clone(),
-                text,
-                confidence,
-                occurrences: matches.len(),
-            });
-        }
-        recommendations.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        Ok(QepReport {
-            qep_id: t.qep.id.clone(),
-            recommendations,
-        })
-    }
-
-    /// Scan a whole workload (the loop of Algorithm 5). Per-entry
-    /// confidences are additionally weighted by their workload-level
-    /// correlation with cost impact (§2.3's statistical correlation
-    /// analysis), then re-ranked within each report.
-    pub fn scan_workload(&self, workload: &[TransformedQep]) -> Result<Vec<QepReport>, Error> {
-        Ok(self
-            .scan_workload_with(workload, ScanOptions::default())?
-            .reports)
-    }
-
-    /// [`KnowledgeBase::scan_workload`] with explicit [`ScanOptions`]:
-    /// optionally fans the per-QEP loop out over threads (reports stay in
-    /// workload order and agree exactly with the sequential path), and
-    /// returns the pruning counters alongside the reports.
+    /// Scan a whole workload against every entry (the loop of Algorithm 5),
+    /// returning ranked, context-adapted recommendations. The per-QEP loop
+    /// fans out over `options.threads` contiguous chunks, the calling
+    /// thread taking the first; chunks merge in workload order, so the
+    /// outcome is identical for any thread count. Per-entry confidences
+    /// are then weighted by their workload-level correlation with cost
+    /// impact (§2.3's statistical correlation analysis) and re-ranked
+    /// within each report.
     pub fn scan_workload_with(
         &self,
         workload: &[TransformedQep],
         options: ScanOptions,
     ) -> Result<ScanOutcome, Error> {
-        let threads = options.threads.clamp(1, workload.len().max(1));
-        let mut stats = PruneStats::default();
-        let mut reports = Vec::with_capacity(workload.len());
-        let mut incidents = Vec::new();
-        let mut fuel_spent: u64 = 0;
-        let mut samples = Vec::new();
-        let mut planner = EvalStats::default();
-        if threads <= 1 {
-            for t in workload {
-                reports.push(self.scan_qep_governed(
-                    t,
-                    &options,
-                    &mut stats,
-                    &mut incidents,
-                    &mut fuel_spent,
-                    &mut samples,
-                    &mut planner,
-                )?);
-            }
-        } else {
-            type ChunkOut = (
-                Vec<QepReport>,
-                PruneStats,
-                Vec<ScanIncident>,
-                u64,
-                Vec<MatchSample>,
-                EvalStats,
-            );
-            let chunk_size = workload.len().div_ceil(threads);
-            let chunk_results: Vec<Result<ChunkOut, Error>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = workload
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            let mut local_stats = PruneStats::default();
-                            let mut local_incidents = Vec::new();
-                            let mut local_fuel: u64 = 0;
-                            let mut local_samples = Vec::new();
-                            let mut local_planner = EvalStats::default();
-                            let mut local = Vec::with_capacity(chunk.len());
-                            for t in chunk {
-                                local.push(self.scan_qep_governed(
-                                    t,
-                                    &options,
-                                    &mut local_stats,
-                                    &mut local_incidents,
-                                    &mut local_fuel,
-                                    &mut local_samples,
-                                    &mut local_planner,
-                                )?);
-                            }
-                            Ok((
-                                local,
-                                local_stats,
-                                local_incidents,
-                                local_fuel,
-                                local_samples,
-                                local_planner,
-                            ))
-                        })
+        let chunk = workload.len().div_ceil(options.threads.max(1)).max(1);
+        let (first, rest) = workload.split_at(chunk.min(workload.len()));
+        let (head, tail) = std::thread::scope(|scope| {
+            let workers: Vec<_> = rest
+                .chunks(chunk)
+                .map(|c| scope.spawn(move || self.scan_chunk(c, &options)))
+                .collect();
+            let head = self.scan_chunk(first, &options);
+            // Units are panic-contained, so a worker panic means the
+            // scan runtime itself broke — typed, not a process abort.
+            let tail: Vec<_> = workers
+                .into_iter()
+                .map(|w| {
+                    w.join().unwrap_or_else(|_| {
+                        Err(Error::Internal(
+                            "scan worker panicked outside the containment boundary".into(),
+                        ))
                     })
-                    .collect();
-                // Units are panic-contained, so a worker panic means the
-                // scan runtime itself broke — typed, not a process abort.
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(Error::Internal(
-                                "scan worker panicked outside the containment boundary".into(),
-                            ))
-                        })
-                    })
-                    .collect()
-            });
-            // Chunks partition the workload in order, so the first erring
-            // chunk holds the globally-first fail-fast incident.
-            for chunk in chunk_results {
-                let (local, local_stats, local_incidents, local_fuel, local_samples, local_planner) =
-                    chunk?;
-                reports.extend(local);
-                stats.merge(&local_stats);
-                incidents.extend(local_incidents);
-                fuel_spent = fuel_spent.saturating_add(local_fuel);
-                samples.extend(local_samples);
-                planner.absorb(&local_planner);
-            }
+                })
+                .collect();
+            (head, tail)
+        });
+        // The first erring chunk holds the globally-first fail-fast
+        // incident.
+        let mut outcome = head?;
+        for next in tail {
+            outcome.absorb(next?);
         }
-        self.apply_workload_weighting(&mut reports, workload);
+        self.apply_workload_weighting(&mut outcome.reports, workload);
+        Ok(outcome)
+    }
+
+    /// Algorithm 5 over one contiguous chunk of the workload, on the
+    /// calling thread: every (QEP × entry) unit, in workload order then
+    /// entry order. A failed unit's entry contributes no recommendation
+    /// for that QEP. Reports come back ranked but not yet
+    /// workload-weighted.
+    fn scan_chunk(
+        &self,
+        chunk: &[TransformedQep],
+        options: &ScanOptions,
+    ) -> Result<ScanOutcome, Error> {
+        let mut units = UnitRunner::default();
+        let mut reports = Vec::with_capacity(chunk.len());
+        let mut samples = Vec::new();
+        for t in chunk {
+            let mut recommendations = Vec::new();
+            for (entry, compiled) in self.units() {
+                let matches = units
+                    .run(&compiled.matcher, &entry.name, t, options)?
+                    .unwrap_or_default();
+                if matches.is_empty() {
+                    continue;
+                }
+                let (confidence, cost_share) = best_match_features(entry, &matches, t);
+                samples.push(MatchSample {
+                    entry: entry.name.clone(),
+                    qep_id: t.qep.id.clone(),
+                    confidence,
+                    cost_share,
+                });
+                recommendations.push(Recommendation {
+                    entry: entry.name.clone(),
+                    text: compiled.template.render(&matches, &t.qep),
+                    confidence,
+                    occurrences: matches.len(),
+                });
+            }
+            rank_by_confidence(&mut recommendations);
+            reports.push(QepReport {
+                qep_id: t.qep.id.clone(),
+                recommendations,
+            });
+        }
         Ok(ScanOutcome {
             reports,
-            stats,
-            incidents,
-            fuel_spent,
+            stats: units.stats,
+            incidents: units.incidents,
+            fuel_spent: units.fuel_spent,
             samples,
-            planner,
+            planner: units.planner,
         })
     }
 
     /// The workload-level statistical weighting step of Algorithm 5,
-    /// factored out so parallel scans (per-QEP fan-out) can apply it once
-    /// over the combined result and agree exactly with the sequential
-    /// path. `reports` must align 1:1 with `workload`.
-    pub fn apply_workload_weighting(&self, reports: &mut [QepReport], workload: &[TransformedQep]) {
+    /// applied once over the merged chunks. `reports` must align 1:1 with
+    /// `workload`.
+    fn apply_workload_weighting(&self, reports: &mut [QepReport], workload: &[TransformedQep]) {
         for entry in &self.entries {
             let mut confidences = Vec::new();
             let mut impacts = Vec::new();
@@ -756,11 +691,7 @@ impl KnowledgeBase {
             }
         }
         for report in reports.iter_mut() {
-            report.recommendations.sort_by(|a, b| {
-                b.confidence
-                    .partial_cmp(&a.confidence)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            rank_by_confidence(&mut report.recommendations);
         }
     }
 
@@ -807,6 +738,15 @@ impl KnowledgeBase {
     }
 }
 
+/// Sort recommendations by confidence, highest first (stable on ties).
+fn rank_by_confidence(recommendations: &mut [Recommendation]) {
+    recommendations.sort_by(|a, b| {
+        b.confidence
+            .partial_cmp(&a.confidence)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+}
+
 /// The (confidence, cost share) of the best occurrence in this QEP —
 /// shared with the regression-diagnosis delta scan so both surfaces score
 /// matches identically.
@@ -845,6 +785,15 @@ mod tests {
             .collect()
     }
 
+    /// A fail-fast scan of the one-QEP workload `[t]`.
+    fn scan_one(kb: &KnowledgeBase, t: &TransformedQep) -> QepReport {
+        let options = ScanOptions::default().fail_fast(true);
+        let mut outcome = kb
+            .scan_workload_with(std::slice::from_ref(t), options)
+            .unwrap();
+        outcome.reports.remove(0)
+    }
+
     #[test]
     fn add_compiles_eagerly_and_rejects_bad_entries() {
         let mut kb = KnowledgeBase::new();
@@ -877,7 +826,7 @@ mod tests {
     fn scan_returns_context_adapted_recommendations() {
         let kb = builtin::paper_kb();
         let w = workload();
-        let report = kb.scan_qep(&w[0]).unwrap();
+        let report = scan_one(&kb, &w[0]);
         assert_eq!(report.qep_id, "fig1");
         assert_eq!(report.recommendations.len(), 1);
         let rec = &report.recommendations[0];
@@ -901,7 +850,7 @@ mod tests {
         });
         q.insert_op(ret);
         q.insert_op(PlanOp::new(2, OpType::Sort));
-        let report = kb.scan_qep(&TransformedQep::new(q)).unwrap();
+        let report = scan_one(&kb, &TransformedQep::new(q));
         assert_eq!(
             report.message(),
             "There is currently no recommendation in knowledge base"
@@ -912,7 +861,8 @@ mod tests {
     fn reports_rank_by_confidence() {
         let kb = builtin::paper_kb();
         let w = workload();
-        for report in kb.scan_workload(&w).unwrap() {
+        let outcome = kb.scan_workload_with(&w, ScanOptions::default()).unwrap();
+        for report in outcome.reports {
             for pair in report.recommendations.windows(2) {
                 assert!(pair[0].confidence >= pair[1].confidence);
             }
@@ -923,7 +873,7 @@ mod tests {
     fn fig7_gets_rewrite_and_statistics_recommendations() {
         let kb = builtin::paper_kb();
         let w = workload();
-        let report = kb.scan_qep(&w[1]).unwrap();
+        let report = scan_one(&kb, &w[1]);
         let names: Vec<&str> = report
             .recommendations
             .iter()
@@ -946,8 +896,8 @@ mod tests {
         let back = KnowledgeBase::from_json(&json).unwrap();
         assert_eq!(back.len(), kb.len());
         let w = workload();
-        let a = kb.scan_qep(&w[0]).unwrap();
-        let b = back.scan_qep(&w[0]).unwrap();
+        let a = scan_one(&kb, &w[0]);
+        let b = scan_one(&back, &w[0]);
         assert_eq!(a, b);
     }
 
@@ -980,8 +930,7 @@ mod tests {
         let par = kb
             .scan_workload_with(&w, ScanOptions::default().threads(4))
             .unwrap();
-        assert_eq!(seq.reports, par.reports);
-        assert_eq!(seq.stats, par.stats);
+        assert_eq!(seq, par);
         // More threads than QEPs must also work. Compare against a
         // sequential scan of the same slice — workload-level correlation
         // weighting depends on the workload, so a sub-workload scan is
@@ -1008,7 +957,7 @@ mod tests {
         assert_eq!(kb.matcher_cache().hits(), 1);
         // Both entries still fire independently under their own names.
         let w = workload();
-        let report = kb.scan_qep(&w[0]).unwrap();
+        let report = scan_one(&kb, &w[0]);
         let names: Vec<&str> = report
             .recommendations
             .iter()

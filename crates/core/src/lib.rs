@@ -86,7 +86,7 @@ pub use open::{OpenOptions, OpenSkip, Opened, Source, Strictness};
 pub use pattern::{Pattern, PatternPop, PropertyCondition, Relationship, Sign, StreamSpec};
 pub use regress::{regress, DeltaAnchor, DeltaFinding, RegressOptions, RegressOutcome};
 pub use repo::{add_to_repo, build_repo, AddOutcome, BuildOutcome};
-pub use session::{OptImatch, SkipCause, SkippedFile, Timings};
+pub use session::{OptImatch, SkipCause, SkippedFile};
 pub use stats::{EntryWeight, MatchRecord, MatchStatsStore, MIN_HISTORY};
 pub use transform::{transform_qep, TransformedQep};
 
@@ -103,10 +103,9 @@ pub use optimatch_repo::vfs;
 /// Compile-time thread-safety contract: the long-running HTTP service
 /// (`optimatch-serve`) shares one session and knowledge base behind `Arc`s
 /// across a worker pool, so these types must stay `Send + Sync`. Interior
-/// mutability is confined to lock-protected state (`Timings` behind a
-/// `Mutex`, `MatcherCache` behind a `Mutex` + atomics); an accidental
-/// `Rc`/`RefCell`/raw-pointer regression fails compilation here, not at a
-/// distant use site.
+/// mutability is confined to lock-protected state (`MatcherCache` behind a
+/// `Mutex` + atomics); an accidental `Rc`/`RefCell`/raw-pointer regression
+/// fails compilation here, not at a distant use site.
 #[allow(dead_code)]
 fn _assert_shared_types_are_send_sync() {
     fn _assert<T: Send + Sync>() {}
@@ -120,6 +119,5 @@ fn _assert_shared_types_are_send_sync() {
     _assert::<ScanOptions>();
     _assert::<ScanOutcome>();
     _assert::<SearchOutcome>();
-    _assert::<Timings>();
     _assert::<TransformedQep>();
 }

@@ -512,9 +512,15 @@ mod tests {
 
         // The published snapshot scans identically to the cold open.
         let kb = builtin::paper_kb();
+        let options = ScanOptions::default();
         assert_eq!(
-            manager.current().session().scan(&kb).unwrap(),
-            cold.session.scan(&kb).unwrap()
+            manager
+                .current()
+                .session()
+                .scan_with(&kb, options)
+                .unwrap()
+                .reports,
+            cold.session.scan_with(&kb, options).unwrap().reports
         );
         std::fs::remove_dir_all(repo.parent().unwrap()).ok();
     }
@@ -542,7 +548,8 @@ mod tests {
         let manager = manager_over(&repo);
         let kb = builtin::paper_kb();
         let before = manager.current();
-        let before_reports = before.session().scan(&kb).unwrap();
+        let scan = |s: &OptImatch| s.scan_with(&kb, ScanOptions::default()).unwrap().reports;
+        let before_reports = scan(before.session());
         manager.ingest(fixtures::fig7(), "fig7.qep").unwrap();
         let after = manager.current();
 
@@ -557,7 +564,7 @@ mod tests {
 
         // A reader still holding generation 0 keeps its length and reports.
         assert_eq!(before.session().len(), 2);
-        assert_eq!(before.session().scan(&kb).unwrap(), before_reports);
+        assert_eq!(scan(before.session()), before_reports);
 
         // Releasing generation 0 releases only its references.
         drop(before);
@@ -577,10 +584,12 @@ mod tests {
         let manager = SessionManager::new(opened.session, builtin::paper_kb(), Some(repo.clone()));
         let pattern = builtin::pattern_a().pattern;
 
-        let before = manager.current().session().search(&pattern).unwrap();
+        let options = ScanOptions::default().fail_fast(true);
+        let search = |s: &OptImatch| s.search_with(&pattern, &options).unwrap().matches;
+        let before = search(manager.current().session());
         manager.ingest(fixtures::fig7(), "fig7.qep").unwrap();
         let snap = manager.current();
-        assert_eq!(snap.session().search(&pattern).unwrap(), before);
+        assert_eq!(search(snap.session()), before);
         let cache = &snap.session().cache;
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
         assert_eq!(snap.session().defaults(), defaults);

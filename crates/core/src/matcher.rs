@@ -13,14 +13,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use optimatch_rdf::Term;
 use optimatch_sparql::{
-    ast, execute_parsed_traced, explain_parsed, parse_query, Budget, EvalStats, PhysicalPlan,
-    PlanOptions,
+    ast, execute_parsed, explain_parsed, parse_query, Budget, EvalStats, PhysicalPlan, PlanOptions,
 };
 
 use crate::compile::compile_pattern;
 use crate::error::Error;
 use crate::features::{PruneStats, RequiredFeatures};
-use crate::kb::{run_contained, ScanIncident, ScanOptions};
+use crate::kb::{ScanIncident, ScanOptions, UnitRunner};
 use crate::pattern::Pattern;
 use crate::transform::TransformedQep;
 use crate::vocab;
@@ -133,34 +132,20 @@ impl Matcher {
         &self.required
     }
 
-    /// Cheap pre-check: `false` proves [`Matcher::find`] would return no
-    /// matches for this QEP; `true` means the evaluator must decide.
+    /// Cheap pre-check: `false` proves [`Matcher::find_traced`] would
+    /// return no matches for this QEP; `true` means the evaluator must
+    /// decide.
     pub fn could_match(&self, t: &TransformedQep) -> bool {
         self.required.satisfied_by(&t.summary, &t.graph)
     }
 
-    /// Match against one transformed QEP, de-transforming solutions.
-    pub fn find(&self, t: &TransformedQep) -> Result<Vec<PatternMatch>, Error> {
-        self.find_budgeted(t, &Budget::unlimited())
-    }
-
-    /// [`Matcher::find`] under an explicit evaluation [`Budget`]: results
-    /// are identical while the budget holds; exhaustion surfaces as
-    /// `Error::Sparql(SparqlError::BudgetExceeded)`. This is the unit the
-    /// scan pipeline wraps in its containment boundary.
-    pub fn find_budgeted(
-        &self,
-        t: &TransformedQep,
-        budget: &Budget,
-    ) -> Result<Vec<PatternMatch>, Error> {
-        self.find_traced(t, budget, true)
-            .map(|(matches, _)| matches)
-    }
-
-    /// [`Matcher::find_budgeted`] with explicit planner control, returning
-    /// the planner's decision trace alongside the matches. `optimize =
-    /// false` is the correctness oracle: source-order evaluation, empty
-    /// trace.
+    /// Match against one transformed QEP under an evaluation [`Budget`],
+    /// de-transforming solutions, and return the planner's decision trace
+    /// alongside the matches. Results do not depend on the budget while it
+    /// holds; exhaustion surfaces as
+    /// `Error::Sparql(SparqlError::BudgetExceeded)`. `optimize = false` is
+    /// the correctness oracle: source-order evaluation, empty trace. This
+    /// is the unit the scan pipeline wraps in its containment boundary.
     pub fn find_traced(
         &self,
         t: &TransformedQep,
@@ -168,7 +153,7 @@ impl Matcher {
         optimize: bool,
     ) -> Result<(Vec<PatternMatch>, EvalStats), Error> {
         crate::chaos::trip(&self.pattern.name)?;
-        let (table, planner) = execute_parsed_traced(
+        let (table, planner) = execute_parsed(
             &t.graph,
             &self.query,
             PlanOptions::default().optimize(optimize),
@@ -202,75 +187,10 @@ impl Matcher {
         Ok(explain_parsed(&t.graph, &self.query, options)?)
     }
 
-    /// Match across a workload, concatenating per-QEP matches
-    /// (the loop of Algorithm 3). Prunes via the feature index.
-    pub fn find_in_workload(
-        &self,
-        workload: &[TransformedQep],
-    ) -> Result<Vec<PatternMatch>, Error> {
-        self.find_in_workload_with(workload, true, &mut PruneStats::default())
-    }
-
-    /// [`Matcher::find_in_workload`] with explicit pruning control and
-    /// counters: graphs missing a required feature are skipped without
-    /// touching the SPARQL evaluator when `prune` is set.
-    pub fn find_in_workload_with(
-        &self,
-        workload: &[TransformedQep],
-        prune: bool,
-        stats: &mut PruneStats,
-    ) -> Result<Vec<PatternMatch>, Error> {
-        let mut out = Vec::new();
-        for t in workload {
-            stats.candidates += 1;
-            if prune && !self.could_match(t) {
-                stats.pruned += 1;
-                continue;
-            }
-            stats.evaluated += 1;
-            let matches = self.find(t)?;
-            if !matches.is_empty() {
-                stats.matched += 1;
-            }
-            out.extend(matches);
-        }
-        Ok(out)
-    }
-
-    /// The QEP ids with at least one match — the granularity of the
-    /// paper's workload experiments ("N QEP files match the pattern").
-    /// Prunes via the feature index.
-    pub fn matching_qep_ids(&self, workload: &[TransformedQep]) -> Result<Vec<String>, Error> {
-        self.matching_qep_ids_with(workload, true, &mut PruneStats::default())
-    }
-
-    /// [`Matcher::matching_qep_ids`] with explicit pruning control and
-    /// counters.
-    pub fn matching_qep_ids_with(
-        &self,
-        workload: &[TransformedQep],
-        prune: bool,
-        stats: &mut PruneStats,
-    ) -> Result<Vec<String>, Error> {
-        let mut ids = Vec::new();
-        for t in workload {
-            stats.candidates += 1;
-            if prune && !self.could_match(t) {
-                stats.pruned += 1;
-                continue;
-            }
-            stats.evaluated += 1;
-            if !self.find(t)?.is_empty() {
-                stats.matched += 1;
-                ids.push(t.qep.id.clone());
-            }
-        }
-        Ok(ids)
-    }
-
-    /// [`Matcher::find_in_workload_with`] under the scan containment
-    /// boundary: each per-QEP unit is budgeted (`options.fuel` /
-    /// `options.deadline`) and panic-contained. Failing units are
+    /// Match across a workload (the loop of Algorithm 3), concatenating
+    /// per-QEP matches. Each per-QEP unit may be skipped by the feature
+    /// index (`options.prune`), is budgeted (`options.fuel` /
+    /// `options.deadline`), and is panic-contained. Failing units are
     /// recorded as incidents — or abort the search when
     /// `options.fail_fast` is set. `options.threads` is ignored (ad-hoc
     /// searches run one pattern, sequentially).
@@ -279,33 +199,22 @@ impl Matcher {
         workload: &[TransformedQep],
         options: &ScanOptions,
     ) -> Result<SearchOutcome, Error> {
-        let mut out = SearchOutcome::default();
+        let mut units = UnitRunner::default();
+        let mut matches = Vec::new();
         for t in workload {
-            out.stats.candidates += 1;
-            if options.prune && !self.could_match(t) {
-                out.stats.pruned += 1;
-                continue;
-            }
-            out.stats.evaluated += 1;
-            match run_contained(self, &self.pattern.name, t, options) {
-                Ok((matches, fuel, trace)) => {
-                    if !matches.is_empty() {
-                        out.stats.matched += 1;
-                    }
-                    out.fuel_spent = out.fuel_spent.saturating_add(fuel);
-                    out.planner.absorb(&trace);
-                    out.matches.extend(matches);
-                }
-                Err(incident) => {
-                    if options.fail_fast {
-                        return Err(Error::Incident(Box::new(incident)));
-                    }
-                    out.fuel_spent = out.fuel_spent.saturating_add(incident.fuel_spent);
-                    out.incidents.push(incident);
-                }
-            }
+            matches.extend(
+                units
+                    .run(self, &self.pattern.name, t, options)?
+                    .unwrap_or_default(),
+            );
         }
-        Ok(out)
+        Ok(SearchOutcome {
+            matches,
+            stats: units.stats,
+            incidents: units.incidents,
+            fuel_spent: units.fuel_spent,
+            planner: units.planner,
+        })
     }
 }
 
@@ -325,6 +234,17 @@ pub struct SearchOutcome {
     /// Aggregated query-planner decision counters across every unit;
     /// all-zero when the search ran with `optimize` off.
     pub planner: EvalStats,
+}
+
+impl SearchOutcome {
+    /// The ids of the QEPs with at least one match, in workload order —
+    /// the granularity of the paper's workload experiments ("N QEP files
+    /// match the pattern").
+    pub fn qep_ids(&self) -> Vec<&str> {
+        let mut ids: Vec<&str> = self.matches.iter().map(|m| m.qep_id.as_str()).collect();
+        ids.dedup();
+        ids
+    }
 }
 
 /// A concurrency-safe cache of compiled matchers, keyed by pattern
@@ -441,14 +361,24 @@ mod tests {
             .collect()
     }
 
+    /// One unbudgeted, uncontained match against one QEP.
+    fn find(m: &Matcher, t: &TransformedQep) -> Vec<PatternMatch> {
+        m.find_traced(t, &Budget::unlimited(), true).unwrap().0
+    }
+
+    /// A fail-fast search over `w`, pruning on or off.
+    fn search(m: &Matcher, w: &[TransformedQep], prune: bool) -> SearchOutcome {
+        let options = ScanOptions::default().prune(prune).fail_fast(true);
+        m.search_workload(w, &options).unwrap()
+    }
+
     #[test]
     fn pattern_a_matches_figure1_only() {
         let m = Matcher::compile(&builtin::pattern_a().pattern).unwrap();
         let w = workload();
-        let ids = m.matching_qep_ids(&w).unwrap();
-        assert_eq!(ids, vec!["fig1"]);
+        assert_eq!(search(&m, &w, true).qep_ids(), ["fig1"]);
 
-        let matches = m.find(&w[0]).unwrap();
+        let matches = find(&m, &w[0]);
         assert_eq!(matches.len(), 1);
         let top = matches[0].binding("TOP").unwrap();
         assert_eq!(top.pop_id(), Some(2));
@@ -460,11 +390,10 @@ mod tests {
     fn pattern_b_matches_figure7_through_temp_chain() {
         let m = Matcher::compile(&builtin::pattern_b().pattern).unwrap();
         let w = workload();
-        let ids = m.matching_qep_ids(&w).unwrap();
-        assert_eq!(ids, vec!["fig7"]);
+        assert_eq!(search(&m, &w, true).qep_ids(), ["fig7"]);
         // The match anchors at the top NLJOIN(5); the inner-side LOJ is
         // three levels down — only reachable recursively.
-        let matches = m.find(&w[1]).unwrap();
+        let matches = find(&m, &w[1]);
         assert!(matches
             .iter()
             .any(|mm| mm.binding("TOP").and_then(|t| t.pop_id()) == Some(5)));
@@ -475,21 +404,20 @@ mod tests {
         // Both contain an IXSCAN with collapsed cardinality over a huge
         // object (fig7 reuses the fig8 scan as its LOJ inner).
         let m = Matcher::compile(&builtin::pattern_c().pattern).unwrap();
-        let ids = m.matching_qep_ids(&workload()).unwrap();
-        assert!(ids.contains(&"fig8".to_string()));
+        assert!(search(&m, &workload(), true).qep_ids().contains(&"fig8"));
     }
 
     #[test]
     fn pattern_d_matches_nothing_in_fixtures() {
         let m = Matcher::compile(&builtin::pattern_d().pattern).unwrap();
-        assert!(m.matching_qep_ids(&workload()).unwrap().is_empty());
+        assert!(search(&m, &workload(), true).qep_ids().is_empty());
     }
 
     #[test]
     fn detransform_names_operators_with_modifiers() {
         let m = Matcher::compile(&builtin::pattern_b().pattern).unwrap();
         let w = workload();
-        let matches = m.find(&w[1]).unwrap();
+        let matches = find(&m, &w[1]);
         let any_loj = matches.iter().any(|mm| {
             mm.bindings
                 .iter()
@@ -510,24 +438,24 @@ mod tests {
         let m = Matcher::compile(&p).unwrap();
         let w = workload();
         // fig1's TBSCAN(5) carries MAXPAGES=ALL.
-        let hits = m.find(&w[0]).unwrap();
+        let hits = find(&m, &w[0]);
         assert_eq!(hits.len(), 1);
         assert_eq!(
             hits[0].binding("MAXPAGES"),
             Some(&MatchTarget::Value("ALL".into()))
         );
         // fig7's TBSCANs have no arguments: still matched, alias unbound.
-        let hits = m.find(&w[1]).unwrap();
+        let hits = find(&m, &w[1]);
         assert!(!hits.is_empty());
         assert!(hits.iter().all(|h| h.binding("MAXPAGES").is_none()));
     }
 
     #[test]
-    fn find_in_workload_concatenates() {
+    fn search_workload_concatenates() {
         let m = Matcher::compile(&builtin::pattern_c().pattern).unwrap();
         let w = workload();
-        let all = m.find_in_workload(&w).unwrap();
-        let per_qep: usize = w.iter().map(|t| m.find(t).unwrap().len()).sum();
+        let all = search(&m, &w, true).matches;
+        let per_qep: usize = w.iter().map(|t| find(&m, t).len()).sum();
         assert_eq!(all.len(), per_qep);
     }
 
@@ -537,18 +465,16 @@ mod tests {
         // pruning on, the evaluator never runs at all.
         let m = Matcher::compile(&builtin::pattern_d().pattern).unwrap();
         let w = workload();
-        let mut stats = crate::features::PruneStats::default();
-        let pruned = m.find_in_workload_with(&w, true, &mut stats).unwrap();
-        assert!(pruned.is_empty());
-        assert_eq!(stats.candidates, w.len());
-        assert_eq!(stats.pruned, w.len());
-        assert_eq!(stats.evaluated, 0);
+        let pruned = search(&m, &w, true);
+        assert!(pruned.matches.is_empty());
+        assert_eq!(pruned.stats.candidates, w.len());
+        assert_eq!(pruned.stats.pruned, w.len());
+        assert_eq!(pruned.stats.evaluated, 0);
 
-        let mut stats = crate::features::PruneStats::default();
-        let unpruned = m.find_in_workload_with(&w, false, &mut stats).unwrap();
-        assert_eq!(pruned, unpruned);
-        assert_eq!(stats.pruned, 0);
-        assert_eq!(stats.evaluated, w.len());
+        let unpruned = search(&m, &w, false);
+        assert_eq!(pruned.matches, unpruned.matches);
+        assert_eq!(unpruned.stats.pruned, 0);
+        assert_eq!(unpruned.stats.evaluated, w.len());
     }
 
     #[test]
@@ -556,19 +482,18 @@ mod tests {
         let w = workload();
         for entry in crate::builtin::paper_entries() {
             let m = Matcher::compile(&entry.pattern).unwrap();
-            let mut stats = crate::features::PruneStats::default();
-            let with = m.find_in_workload_with(&w, true, &mut stats).unwrap();
-            let without = m
-                .find_in_workload_with(&w, false, &mut crate::features::PruneStats::default())
-                .unwrap();
-            assert_eq!(with, without, "pattern {}", entry.pattern.name);
-            let ids_with = m
-                .matching_qep_ids_with(&w, true, &mut crate::features::PruneStats::default())
-                .unwrap();
-            let ids_without = m
-                .matching_qep_ids_with(&w, false, &mut crate::features::PruneStats::default())
-                .unwrap();
-            assert_eq!(ids_with, ids_without, "pattern {}", entry.pattern.name);
+            let (with, without) = (search(&m, &w, true), search(&m, &w, false));
+            assert_eq!(
+                with.matches, without.matches,
+                "pattern {}",
+                entry.pattern.name
+            );
+            assert_eq!(
+                with.qep_ids(),
+                without.qep_ids(),
+                "pattern {}",
+                entry.pattern.name
+            );
         }
     }
 

@@ -94,7 +94,7 @@ pub enum Strictness {
 
 /// Options for [`OptImatch::open`]: strictness plus the session's baseline
 /// scan behaviour, mirroring [`ScanOptions`]. `prune` and `threads` become
-/// the defaults [`OptImatch::scan`] and the serving layer start from.
+/// the session's baseline, [`OptImatch::defaults`].
 #[derive(Debug, Clone)]
 pub struct OpenOptions {
     /// Skip-and-report vs fail-fast loading.
@@ -384,10 +384,8 @@ mod tests {
         let from_repo =
             OptImatch::open(Source::detect(&repo).unwrap(), OpenOptions::new()).unwrap();
         assert_eq!(from_dir.session.len(), 2);
-        assert_eq!(
-            from_dir.session.scan(&kb).unwrap(),
-            from_repo.session.scan(&kb).unwrap()
-        );
+        let scan = |o: &Opened| o.session.scan_with(&kb, ScanOptions::default()).unwrap();
+        assert_eq!(scan(&from_dir).reports, scan(&from_repo).reports);
 
         let single = OptImatch::open(
             Source::detect(&dir.join("fig1.qep")).unwrap(),
@@ -439,10 +437,8 @@ mod tests {
         // the scan runs.
         let kb = builtin::paper_kb();
         let pruned = OptImatch::open(Source::Dir(dir.clone()), OpenOptions::new()).unwrap();
-        assert_eq!(
-            opened.session.scan(&kb).unwrap(),
-            pruned.session.scan(&kb).unwrap()
-        );
+        let scan = |o: &Opened| o.session.scan_with(&kb, o.session.defaults()).unwrap();
+        assert_eq!(scan(&opened).reports, scan(&pruned).reports);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -29,7 +29,7 @@ use serde::Serialize;
 
 use crate::error::Error;
 use crate::kb::{
-    best_match_features, run_contained, KnowledgeBase, MatchSample, ScanIncident, ScanOptions,
+    best_match_features, KnowledgeBase, MatchSample, ScanIncident, ScanOptions, UnitRunner,
 };
 use crate::transform::TransformedQep;
 
@@ -327,44 +327,16 @@ pub fn regress(
     let t_before = TransformedQep::new(before.clone());
     let t_after = TransformedQep::new(after.clone());
 
+    let mut units = UnitRunner::default();
     let mut findings = Vec::new();
-    let mut incidents = Vec::new();
     let mut samples = Vec::new();
-    let mut fuel_spent: u64 = 0;
-
     for (entry, compiled) in kb.units() {
-        // Run one side inside the containment boundary; `None` means the
-        // unit failed (and was either recorded or escalated).
-        let run_side = |t: &TransformedQep,
-                        incidents: &mut Vec<ScanIncident>,
-                        fuel_spent: &mut u64|
-         -> Result<Option<Vec<_>>, Error> {
-            if options.scan.prune && !compiled.matcher.could_match(t) {
-                return Ok(Some(Vec::new()));
-            }
-            match run_contained(&compiled.matcher, &entry.name, t, &options.scan) {
-                Ok((matches, fuel, _planner)) => {
-                    *fuel_spent = fuel_spent.saturating_add(fuel);
-                    Ok(Some(matches))
-                }
-                Err(incident) => {
-                    if options.scan.fail_fast {
-                        return Err(Error::Incident(Box::new(incident)));
-                    }
-                    *fuel_spent = fuel_spent.saturating_add(incident.fuel_spent);
-                    incidents.push(incident);
-                    Ok(None)
-                }
-            }
+        let mut run = |t| units.run(&compiled.matcher, &entry.name, t, &options.scan);
+        let Some(after_matches) = run(&t_after)? else {
+            continue;
         };
-
-        let after_matches = match run_side(&t_after, &mut incidents, &mut fuel_spent)? {
-            Some(m) => m,
-            None => continue,
-        };
-        let before_matches = match run_side(&t_before, &mut incidents, &mut fuel_spent)? {
-            Some(m) => m,
-            None => continue,
+        let Some(before_matches) = run(&t_before)? else {
+            continue;
         };
 
         if after_matches.is_empty() {
@@ -425,8 +397,8 @@ pub fn regress(
         diff,
         alignment,
         findings,
-        incidents,
-        fuel_spent,
+        incidents: units.incidents,
+        fuel_spent: units.fuel_spent,
         samples,
     })
 }

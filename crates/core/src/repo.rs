@@ -275,9 +275,10 @@ mod tests {
         let warm = OptImatch::open(Source::detect(&out).unwrap(), OpenOptions::new()).unwrap();
         assert_eq!(warm.session.len(), cold.session.len());
         let kb = crate::builtin::paper_kb();
+        let options = crate::ScanOptions::default();
         assert_eq!(
-            warm.session.scan(&kb).unwrap(),
-            cold.session.scan(&kb).unwrap()
+            warm.session.scan_with(&kb, options).unwrap().reports,
+            cold.session.scan_with(&kb, options).unwrap().reports
         );
 
         let lenient =

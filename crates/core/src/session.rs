@@ -2,32 +2,15 @@
 //! the knowledge base — the end-to-end flows of the paper's Figure 4.
 
 use std::path::Path;
-use std::time::{Duration, Instant};
-
-use crate::sync::{Mutex, PoisonError};
 
 use optimatch_qep::{parse_qep, Qep, QepParseError};
 
 use crate::error::Error;
-use crate::kb::{KnowledgeBase, QepReport, ScanOptions, ScanOutcome};
-use crate::matcher::{Matcher, MatcherCache, PatternMatch, SearchOutcome};
+use crate::kb::{KnowledgeBase, ScanOptions, ScanOutcome};
+use crate::matcher::{MatcherCache, SearchOutcome};
 use crate::pattern::Pattern;
 use crate::transform::TransformedQep;
-use optimatch_sparql::{EvalStats, PhysicalPlan, PlanOptions};
-
-/// Timing of the last operation, for the performance experiments.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Timings {
-    /// Time spent transforming QEPs to RDF (Algorithm 1).
-    pub transform: Duration,
-    /// Time spent matching (Algorithms 2–3 or 5).
-    pub matching: Duration,
-    /// Query-planner decision counters from the most recent traced
-    /// operation (scan or budgeted search): patterns estimated, reorders
-    /// applied, estimated vs. actual rows, index choices. All-zero when
-    /// the last operation ran with the planner off or untraced.
-    pub planner: EvalStats,
-}
+use optimatch_sparql::{PhysicalPlan, PlanOptions};
 
 /// Why a lenient directory load skipped one file.
 #[derive(Debug)]
@@ -64,8 +47,8 @@ impl std::fmt::Display for SkippedFile {
 
 /// An analysis session over a workload of QEPs.
 ///
-/// All read operations take `&self` — sessions can be shared across
-/// threads (timings use interior mutability).
+/// All read operations take `&self` and the session holds no per-call
+/// state — sessions can be shared across threads.
 ///
 /// ```
 /// use optimatch_core::{builtin, OptImatch, ScanOptions};
@@ -74,22 +57,18 @@ impl std::fmt::Display for SkippedFile {
 /// let session = OptImatch::from_qeps([fixtures::fig1(), fixtures::fig8()]);
 ///
 /// // Ad-hoc pattern search (paper Algorithms 2–3):
-/// let ids = session.matching_ids(&builtin::pattern_a().pattern)?;
-/// assert_eq!(ids, vec!["fig1"]);
+/// let found = session.search_with(&builtin::pattern_a().pattern, &ScanOptions::default())?;
+/// assert_eq!(found.qep_ids(), ["fig1"]);
 ///
-/// // Knowledge-base scan (Algorithm 5):
-/// let reports = session.scan(&builtin::paper_kb())?;
-/// assert!(reports[0].recommendations[0].text.contains("CUST_DIM"));
-///
-/// // Tuned scan: 8 threads, pruning on, counters returned.
+/// // Knowledge-base scan (Algorithm 5) on 8 threads, pruning counters
+/// // returned alongside the reports:
 /// let outcome = session.scan_with(&builtin::paper_kb(), ScanOptions::default().threads(8))?;
-/// assert_eq!(outcome.reports, reports);
+/// assert!(outcome.reports[0].recommendations[0].text.contains("CUST_DIM"));
 /// # Ok::<(), optimatch_core::Error>(())
 /// ```
 #[derive(Debug)]
 pub struct OptImatch {
     workload: Vec<TransformedQep>,
-    timings: Mutex<Timings>,
     /// Shared with every [`OptImatch::successor`]. Plain `std` Arc (not
     /// the loom facade): the cache locks internally and has no protocol.
     pub(crate) cache: std::sync::Arc<MatcherCache>,
@@ -97,39 +76,24 @@ pub struct OptImatch {
 }
 
 impl OptImatch {
-    /// Build a session from in-memory plans (transforms eagerly; the
-    /// transformation time is recorded in [`OptImatch::timings`]).
+    /// Build a session from in-memory plans (transforms eagerly).
     pub fn from_qeps(qeps: impl IntoIterator<Item = Qep>) -> OptImatch {
-        let start = Instant::now();
-        let workload: Vec<TransformedQep> = qeps.into_iter().map(TransformedQep::new).collect();
-        OptImatch {
-            workload,
-            timings: Mutex::new(Timings {
-                transform: start.elapsed(),
-                ..Timings::default()
-            }),
-            cache: Default::default(),
-            defaults: ScanOptions::default(),
-        }
+        OptImatch::from_transformed(qeps.into_iter().map(TransformedQep::new).collect())
     }
 
     /// Build a session from already-transformed plans — the warm-start
     /// path used by [`OptImatch::open`] on a repository source, where the
-    /// RDF graphs come off disk instead of being derived. The recorded
-    /// transform time is whatever the restore cost, which is the honest
-    /// number for cold-vs-warm comparisons.
+    /// RDF graphs come off disk instead of being derived.
     pub fn from_transformed(workload: Vec<TransformedQep>) -> OptImatch {
         OptImatch {
             workload,
-            timings: Mutex::new(Timings::default()),
             cache: Default::default(),
             defaults: ScanOptions::default(),
         }
     }
 
-    /// Replace the session's baseline [`ScanOptions`] (what
-    /// [`OptImatch::scan`] uses); set by [`OptImatch::open`] from its
-    /// [`crate::OpenOptions`].
+    /// Replace the session's baseline [`ScanOptions`]; set by
+    /// [`OptImatch::open`] from its [`crate::OpenOptions`].
     pub fn with_defaults(mut self, defaults: ScanOptions) -> OptImatch {
         self.defaults = defaults;
         self
@@ -152,7 +116,6 @@ impl OptImatch {
         workload.push(plan);
         OptImatch {
             workload,
-            timings: Mutex::new(Timings::default()),
             cache: std::sync::Arc::clone(&self.cache),
             defaults: self.defaults,
         }
@@ -188,67 +151,24 @@ impl OptImatch {
         &self.workload
     }
 
-    /// Timing of the most recent operations.
-    ///
-    /// `Timings` is plain data, so a panic while the lock was held cannot
-    /// leave it inconsistent — poisoning is recovered, not propagated.
-    pub fn timings(&self) -> Timings {
-        *self.timings.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn record_matching(&self, elapsed: Duration) {
-        self.timings
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .matching = elapsed;
-    }
-
-    fn record_planner(&self, planner: EvalStats) {
-        self.timings
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .planner = planner;
-    }
-
     /// Total LOLEPOPs across the workload.
     pub fn total_ops(&self) -> usize {
         self.workload.iter().map(|t| t.qep.op_count()).sum()
     }
 
-    /// Ad-hoc pattern search (compile + match across the workload).
-    /// Compiled matchers are cached, so repeating a search skips
+    /// Ad-hoc pattern search (compile + match across the workload) under
+    /// explicit [`ScanOptions`]: pruning, per-QEP evaluation budgets, and
+    /// fail-fast control, with incidents contained and reported in the
+    /// outcome. Compiled matchers are cached, so repeating a search skips
     /// Algorithm 2.
-    pub fn search(&self, pattern: &Pattern) -> Result<Vec<PatternMatch>, Error> {
-        let matcher = self.cache.get_or_compile(pattern)?;
-        self.search_compiled(&matcher)
-    }
-
-    /// Search with an already-compiled matcher (the hot path of the
-    /// scalability experiments).
-    pub fn search_compiled(&self, matcher: &Matcher) -> Result<Vec<PatternMatch>, Error> {
-        let start = Instant::now();
-        let result = matcher.find_in_workload(&self.workload);
-        self.record_matching(start.elapsed());
-        result
-    }
-
-    /// Ad-hoc pattern search under explicit [`ScanOptions`]: pruning,
-    /// per-QEP evaluation budgets, and fail-fast control, with incidents
-    /// contained and reported in the outcome. Within budget, matches are
-    /// identical to [`OptImatch::search`].
     pub fn search_with(
         &self,
         pattern: &Pattern,
         options: &ScanOptions,
     ) -> Result<SearchOutcome, Error> {
-        let matcher = self.cache.get_or_compile(pattern)?;
-        let start = Instant::now();
-        let result = matcher.search_workload(&self.workload, options);
-        self.record_matching(start.elapsed());
-        if let Ok(outcome) = &result {
-            self.record_planner(outcome.planner);
-        }
-        result
+        self.cache
+            .get_or_compile(pattern)?
+            .search_workload(&self.workload, options)
     }
 
     /// The planner's physical plan for a pattern against every workload
@@ -266,39 +186,17 @@ impl OptImatch {
             .collect()
     }
 
-    /// QEP ids matching a pattern.
-    pub fn matching_ids(&self, pattern: &Pattern) -> Result<Vec<String>, Error> {
-        let matcher = self.cache.get_or_compile(pattern)?;
-        let start = Instant::now();
-        let ids = matcher.matching_qep_ids(&self.workload);
-        self.record_matching(start.elapsed());
-        ids
-    }
-
     /// Scan the whole workload against a knowledge base (Algorithm 5),
-    /// producing one ranked report per QEP. Runs under the session's
-    /// baseline [`ScanOptions`] (see [`OptImatch::defaults`]); reports are
-    /// option-independent, so the baseline only shapes *how* the scan
-    /// runs.
-    pub fn scan(&self, kb: &KnowledgeBase) -> Result<Vec<QepReport>, Error> {
-        Ok(self.scan_with(kb, self.defaults)?.reports)
-    }
-
-    /// Scan with explicit [`ScanOptions`] — thread fan-out and pruning
-    /// control; reports are identical to [`OptImatch::scan`] regardless of
-    /// the options, and the pruning counters come back in the outcome.
+    /// producing one ranked report per QEP. Reports do not depend on the
+    /// options — thread fan-out, pruning, budgets, and the planner only
+    /// shape *how* the scan runs — and the pruning counters, incidents,
+    /// fuel, and planner trace come back in the outcome.
     pub fn scan_with(
         &self,
         kb: &KnowledgeBase,
         options: ScanOptions,
     ) -> Result<ScanOutcome, Error> {
-        let start = Instant::now();
-        let outcome = kb.scan_workload_with(&self.workload, options);
-        self.record_matching(start.elapsed());
-        if let Ok(outcome) = &outcome {
-            self.record_planner(outcome.planner);
-        }
-        outcome
+        kb.scan_workload_with(&self.workload, options)
     }
 }
 
@@ -350,18 +248,21 @@ mod tests {
         let s = OptImatch::from_qeps([fixtures::fig1(), fixtures::fig7(), fixtures::fig8()]);
         assert_eq!(s.len(), 3);
         assert!(s.total_ops() >= 19);
-        let ids = s.matching_ids(&builtin::pattern_a().pattern).unwrap();
-        assert_eq!(ids, vec!["fig1"]);
-        assert!(s.timings().matching > Duration::ZERO);
+        let options = ScanOptions::default().fail_fast(true);
+        let found = s
+            .search_with(&builtin::pattern_a().pattern, &options)
+            .unwrap();
+        assert_eq!(found.qep_ids(), ["fig1"]);
     }
 
     #[test]
     fn repeated_searches_hit_the_matcher_cache() {
         let s = OptImatch::from_qeps([fixtures::fig1()]);
         let p = builtin::pattern_a().pattern;
-        let first = s.search(&p).unwrap();
-        let second = s.search(&p).unwrap();
-        assert_eq!(first, second);
+        let options = ScanOptions::default().fail_fast(true);
+        let first = s.search_with(&p, &options).unwrap();
+        let second = s.search_with(&p, &options).unwrap();
+        assert_eq!(first.matches, second.matches);
         assert_eq!(s.cache.misses(), 1);
         assert_eq!(s.cache.hits(), 1);
     }
@@ -447,7 +348,7 @@ mod tests {
     fn scan_with_options_equals_plain_scan() {
         let kb = builtin::paper_kb();
         let s = OptImatch::from_qeps(mixed_workload());
-        let sequential = s.scan(&kb).unwrap();
+        let sequential = s.scan_with(&kb, ScanOptions::default()).unwrap().reports;
         for threads in [1, 2, 4, 32] {
             for prune in [true, false] {
                 let outcome = s
@@ -469,7 +370,10 @@ mod tests {
     #[test]
     fn scan_produces_one_report_per_qep() {
         let s = OptImatch::from_qeps([fixtures::fig1(), fixtures::fig7()]);
-        let reports = s.scan(&builtin::paper_kb()).unwrap();
+        let reports = s
+            .scan_with(&builtin::paper_kb(), ScanOptions::default())
+            .unwrap()
+            .reports;
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].qep_id, "fig1");
         assert!(!reports[0].recommendations.is_empty());

@@ -393,7 +393,12 @@ mod tests {
         let qep = fixtures::fig1();
         let t = TransformedQep::new(qep.clone());
         let m = Matcher::compile(&builtin::pattern_a().pattern).unwrap();
-        (m.find(&t).unwrap(), qep)
+        (
+            m.find_traced(&t, &optimatch_sparql::Budget::unlimited(), true)
+                .unwrap()
+                .0,
+            qep,
+        )
     }
 
     #[test]

@@ -111,7 +111,7 @@ fn fuel_margins_hold() {
         let matcher = cache.get_or_compile(&entry.pattern).unwrap();
         for t in &workload {
             let budget = optimatch_sparql::Budget::unlimited();
-            matcher.find_budgeted(t, &budget).unwrap();
+            matcher.find_traced(t, &budget, true).unwrap();
             clean_max = clean_max.max(budget.spent());
         }
     }
@@ -124,7 +124,7 @@ fn fuel_margins_hold() {
         .unwrap();
     for t in &workload {
         let budget = optimatch_sparql::Budget::limited(Some(FUEL), None);
-        let result = bomb.find_budgeted(t, &budget);
+        let result = bomb.find_traced(t, &budget, true);
         assert!(
             matches!(
                 result,

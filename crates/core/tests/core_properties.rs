@@ -109,7 +109,9 @@ proptest! {
         let matcher = Matcher::compile(&pattern).expect("chain compiles");
         for qep in [fixtures::fig1(), fixtures::fig7(), fixtures::fig8()] {
             let t = optimatch_core::transform::TransformedQep::new(qep);
-            let _ = matcher.find(&t).expect("matching terminates");
+            let _ = matcher
+                .find_traced(&t, &optimatch_sparql::Budget::unlimited(), true)
+                .expect("matching terminates");
         }
     }
 

@@ -265,6 +265,46 @@ mod tests {
     }
 
     #[test]
+    fn od007_flags_suffixed_siblings_of_a_public_fn() {
+        // One diagnostic, at the suffixed sibling; a suffixed function
+        // without a public base, or a non-public one, is fine.
+        let fixture = concat!(
+            "pub fn scan(w: &[Qep]) -> Report { scan_with(w, Options::new()) }\n",
+            "pub fn scan_with(w: &[Qep], o: Options) -> Report { run(w, o) }\n",
+            "pub fn find_traced(t: &Qep) {}\n",
+            "pub fn render(p: &Plan) {}\n",
+            "pub(crate) fn render_budgeted(p: &Plan) {}\n",
+        );
+        let diags = lint_rust_source(
+            "crates/x/src/fixture.rs",
+            fixture,
+            SourceScope::Production,
+            8,
+        );
+        assert_eq!(codes(&diags), ["OD007"]);
+        assert_eq!(diags[0].line, 2);
+        assert!(diags[0].message.contains("`pub fn scan`"));
+
+        for suffix in ["_budgeted", "_traced", "_with_options"] {
+            let s = format!("pub fn find() {{}}\npub fn find{suffix}() {{}}\n");
+            let diags = lint_rust_source("crates/x/src/a.rs", &s, SourceScope::Production, 8);
+            assert_eq!(codes(&diags), ["OD007"], "{suffix}");
+        }
+
+        let allowed = "pub fn scan() {}\n// devlint: allow(OD007)\npub fn scan_with() {}\n";
+        assert!(
+            lint_rust_source("crates/x/src/a.rs", allowed, SourceScope::Production, 8).is_empty()
+        );
+        let in_tests = "pub fn scan() {}\n#[cfg(test)]\nmod tests {\n    pub fn scan_with() {}\n}";
+        assert!(
+            lint_rust_source("crates/x/src/a.rs", in_tests, SourceScope::Production, 8).is_empty()
+        );
+        assert!(
+            lint_rust_source("crates/x/tests/a.rs", fixture, SourceScope::Exempt, 8).is_empty()
+        );
+    }
+
+    #[test]
     fn current_pr_counts_changes_lines() {
         assert_eq!(current_pr(&[]), 1);
         assert_eq!(current_pr(&["PR 1: seed", "PR 2: more", ""]), 3);

@@ -10,6 +10,7 @@
 //! | OD004 | non-path dependency in a `Cargo.toml` (hermetic-build policy) |
 //! | OD005 | `#[deprecated]` item past (or without) its stated removal PR |
 //! | OD006 | direct `std::fs` / `File::` use in VFS-covered storage code |
+//! | OD007 | `pub fn X` beside a `pub fn X_with` / `X_budgeted` / `X_traced` / `X_with_options` sibling |
 //!
 //! OD001/OD002 look for the justification in a comment on the same line
 //! or within [`LOOKBACK`] lines above — the shape `rustc` shows in
@@ -20,6 +21,11 @@ use crate::Diagnostic;
 
 /// How many lines above a flagged token a justification comment may sit.
 pub const LOOKBACK: usize = 8;
+
+/// Name suffixes that mark a sibling of an existing public function
+/// (OD007): one more entry point per capability instead of one entry
+/// point taking the options.
+const SIBLING_SUFFIXES: [&str; 4] = ["_with", "_budgeted", "_traced", "_with_options"];
 
 /// How a `.rs` file should be linted, derived from its path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,10 +148,52 @@ pub fn lint_rust_source(
         }
     }
 
+    out.extend(lint_siblings(path, &lines[..test_tail]));
     // OD005 scans the whole file (deprecations in test modules would be
     // odd, but an overdue one is overdue wherever it hides).
     out.extend(lint_deprecated(path, &lines, current_pr));
     out
+}
+
+/// OD007: one diagnostic at every `pub fn X<suffix>` whose file also
+/// declares `pub fn X`, for the suffixes in [`SIBLING_SUFFIXES`].
+fn lint_siblings(path: &str, lines: &[Line]) -> Vec<Diagnostic> {
+    let decls: Vec<(usize, &str)> = lines
+        .iter()
+        .enumerate()
+        .filter_map(|(i, l)| pub_fn_name(&l.code).map(|name| (i, name)))
+        .collect();
+    let mut out = Vec::new();
+    for &(i, name) in &decls {
+        let base = SIBLING_SUFFIXES
+            .iter()
+            .filter_map(|suffix| name.strip_suffix(suffix))
+            .find(|base| decls.iter().any(|(_, n)| n == base));
+        if let Some(base) = base {
+            if !suppressed(lines, i, "OD007") {
+                out.push(Diagnostic::new(
+                    "OD007",
+                    path,
+                    i + 1,
+                    &format!(
+                        "`pub fn {name}` is a sibling of `pub fn {base}` — give the layer \
+                         one entry point that takes the options instead of one function \
+                         per option"
+                    ),
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// The name a line declares with `pub fn`, if it opens with one.
+fn pub_fn_name(code: &str) -> Option<&str> {
+    let rest = code.trim_start().strip_prefix("pub fn ")?;
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    Some(&rest[..end]).filter(|name| !name.is_empty())
 }
 
 fn lint_deprecated(path: &str, lines: &[Line], current_pr: usize) -> Vec<Diagnostic> {

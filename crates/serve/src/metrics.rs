@@ -16,7 +16,7 @@
 //! independent statistic, no reader derives a cross-instrument invariant,
 //! and `/metrics` explicitly renders a *statistical* snapshot rather than
 //! a linearizable one. The contract lives in the three instrument types
-//! below ([`Counter`], [`Gauge`], [`MaxGauge`]) so every call site
+//! below (`Counter`, `Gauge`, `MaxGauge`) so every call site
 //! inherits one audited justification; the model tests in
 //! `tests/loom_metrics.rs` and `tests/loom_queue.rs` prove the two
 //! instruments with real protocol obligations (the monotone

@@ -93,37 +93,13 @@ impl<'g> Ctx<'g> {
     }
 }
 
-/// Evaluate a compiled plan against a graph.
-pub fn evaluate(graph: &Graph, plan: &Plan) -> Result<ResultTable, SparqlError> {
-    evaluate_budgeted(graph, plan, true, &Budget::unlimited())
-}
-
-/// Evaluate with BGP reordering switchable — the ablation benches use this
-/// to quantify the planner heuristic; everything else wants `reorder=true`.
-pub fn evaluate_with_options(
-    graph: &Graph,
-    plan: &Plan,
-    reorder: bool,
-) -> Result<ResultTable, SparqlError> {
-    evaluate_budgeted(graph, plan, reorder, &Budget::unlimited())
-}
-
-/// Evaluate under an explicit [`Budget`]. Results are identical to the
-/// unbudgeted path as long as the budget is not exceeded; exceeding it
-/// returns [`SparqlError::BudgetExceeded`] with the accounting snapshot.
-pub fn evaluate_budgeted(
-    graph: &Graph,
-    plan: &Plan,
-    reorder: bool,
-    budget: &Budget,
-) -> Result<ResultTable, SparqlError> {
-    evaluate_traced(graph, plan, PlanOptions { optimize: reorder }, budget).map(|(t, _)| t)
-}
-
-/// Evaluate under [`PlanOptions`] and a [`Budget`], returning the planner's
-/// decision trace alongside the results. With `optimize: false` the trace
-/// is empty and evaluation runs in source order (the correctness oracle).
-pub fn evaluate_traced(
+/// Evaluate a compiled plan against a graph under [`PlanOptions`] and a
+/// [`Budget`], returning the planner's decision trace alongside the
+/// results. With `optimize: false` the trace is empty and evaluation runs
+/// in source order (the correctness oracle). Results do not depend on the
+/// budget while it holds; exceeding it returns
+/// [`SparqlError::BudgetExceeded`] with the accounting snapshot.
+pub fn evaluate(
     graph: &Graph,
     plan: &Plan,
     options: PlanOptions,
@@ -1003,8 +979,12 @@ mod tests {
         );
         let query = parse_query(&q).unwrap();
         let plan = crate::algebra::translate(&query).unwrap();
-        let with = evaluate_with_options(&g, &plan, true).unwrap();
-        let without = evaluate_with_options(&g, &plan, false).unwrap();
+        let run = |optimize| {
+            evaluate(&g, &plan, PlanOptions { optimize }, &Budget::unlimited())
+                .unwrap()
+                .0
+        };
+        let (with, without) = (run(true), run(false));
         assert_eq!(with, without);
         assert_eq!(with.len(), 2);
     }
@@ -1144,7 +1124,7 @@ mod tests {
         );
         let query = parse_query(&q).unwrap();
         let budget = Budget::limited(Some(3), None);
-        let err = crate::execute_parsed_budgeted(&g, &query, &budget).unwrap_err();
+        let err = crate::execute_parsed(&g, &query, PlanOptions::default(), &budget).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1168,9 +1148,14 @@ mod tests {
             }} ORDER BY ?base"
         );
         let query = parse_query(&q).unwrap();
-        let unbudgeted = crate::execute_parsed(&g, &query).unwrap();
+        let run = |budget: &Budget| {
+            crate::execute_parsed(&g, &query, PlanOptions::default(), budget)
+                .unwrap()
+                .0
+        };
+        let unbudgeted = run(&Budget::unlimited());
         let budget = Budget::limited(Some(u64::MAX), None);
-        let budgeted = crate::execute_parsed_budgeted(&g, &query, &budget).unwrap();
+        let budgeted = run(&budget);
         assert_eq!(unbudgeted, budgeted);
         assert!(budget.spent() > 0, "evaluation must charge the budget");
     }
@@ -1181,7 +1166,7 @@ mod tests {
         let q = format!("{PFX}SELECT ?pop WHERE {{ ?pop p:hasPopType ?t . }}");
         let query = parse_query(&q).unwrap();
         let budget = Budget::limited(None, Some(std::time::Duration::ZERO));
-        let err = crate::execute_parsed_budgeted(&g, &query, &budget).unwrap_err();
+        let err = crate::execute_parsed(&g, &query, PlanOptions::default(), &budget).unwrap_err();
         assert!(
             matches!(
                 err,

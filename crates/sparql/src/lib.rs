@@ -64,10 +64,12 @@ pub fn parse_query(text: &str) -> Result<ast::Query, SparqlError> {
     parser::parse(text)
 }
 
-/// Parse and evaluate a SPARQL query against a graph.
+/// Parse and evaluate a SPARQL query against a graph with the default
+/// planner and no budget.
 pub fn execute(graph: &Graph, text: &str) -> Result<ResultTable, SparqlError> {
     let query = parse_query(text)?;
-    execute_parsed(graph, &query)
+    execute_parsed(graph, &query, PlanOptions::default(), &Budget::unlimited())
+        .map(|(table, _)| table)
 }
 
 /// Parse and evaluate an `ASK { ... }` query (or any query, testing for a
@@ -76,40 +78,24 @@ pub fn ask(graph: &Graph, text: &str) -> Result<bool, SparqlError> {
     Ok(!execute(graph, text)?.is_empty())
 }
 
-/// Evaluate an already-parsed query against a graph. Parsing a pattern once
+/// Evaluate an already-parsed query against a graph, returning the
+/// planner's decision trace alongside the results. Parsing a pattern once
 /// and matching it against every QEP in a workload is the hot loop of the
 /// paper's experiments, so the parse is hoisted out.
-pub fn execute_parsed(graph: &Graph, query: &ast::Query) -> Result<ResultTable, SparqlError> {
-    let plan = algebra::translate(query)?;
-    eval::evaluate(graph, &plan)
-}
-
-/// Evaluate an already-parsed query under an explicit evaluation
-/// [`Budget`]. Identical to [`execute_parsed`] while the budget holds;
-/// exhaustion (step fuel or deadline) returns
+///
+/// `options.optimize = false` is the correctness oracle: source order, no
+/// direction guidance, empty trace. The [`Budget`] is observational while
+/// it holds; exhaustion (step fuel or deadline) returns
 /// [`SparqlError::BudgetExceeded`] instead of running unbounded — this is
 /// what bounds each (pattern × QEP) unit in workload scans.
-pub fn execute_parsed_budgeted(
-    graph: &Graph,
-    query: &ast::Query,
-    budget: &Budget,
-) -> Result<ResultTable, SparqlError> {
-    let plan = algebra::translate(query)?;
-    eval::evaluate_budgeted(graph, &plan, true, budget)
-}
-
-/// Evaluate an already-parsed query under explicit [`PlanOptions`] and a
-/// [`Budget`], returning the planner's decision trace alongside the
-/// results. `options.optimize = false` is the correctness oracle: source
-/// order, no direction guidance, empty trace.
-pub fn execute_parsed_traced(
+pub fn execute_parsed(
     graph: &Graph,
     query: &ast::Query,
     options: PlanOptions,
     budget: &Budget,
 ) -> Result<(ResultTable, EvalStats), SparqlError> {
     let plan = algebra::translate(query)?;
-    eval::evaluate_traced(graph, &plan, options, budget)
+    eval::evaluate(graph, &plan, options, budget)
 }
 
 /// Explain an already-parsed query against a graph: the planner's

@@ -5,7 +5,7 @@
 //! reproducible from its printed seed.
 
 use optimatch_rdf::{Graph, Term};
-use optimatch_sparql::{execute_parsed_traced, parse_query, Budget, PlanOptions};
+use optimatch_sparql::{execute_parsed, parse_query, Budget, PlanOptions};
 
 /// xorshift64* — deterministic, dependency-free.
 struct Rng(u64);
@@ -147,10 +147,10 @@ fn optimized_and_oracle_agree_on_generated_workloads() {
             Err(e) => panic!("case {case} seed {seed:#x}: generated unparseable query {text}: {e}"),
         };
         let budget = Budget::unlimited();
-        let (optimized, stats) = execute_parsed_traced(&g, &query, PlanOptions::default(), &budget)
+        let (optimized, stats) = execute_parsed(&g, &query, PlanOptions::default(), &budget)
             .unwrap_or_else(|e| panic!("case {case} seed {seed:#x} optimized: {e}"));
         let (oracle, oracle_stats) =
-            execute_parsed_traced(&g, &query, PlanOptions::default().optimize(false), &budget)
+            execute_parsed(&g, &query, PlanOptions::default().optimize(false), &budget)
                 .unwrap_or_else(|e| panic!("case {case} seed {seed:#x} oracle: {e}"));
         assert_eq!(
             multiset(&optimized),
@@ -183,9 +183,8 @@ fn budget_semantics_survive_the_planner() {
         let text = "SELECT * WHERE { ?a (<p:in>|<p:out>)+ ?b . ?b <p:type> ?t . }";
         let query = parse_query(text).unwrap();
         let generous = Budget::limited(Some(1_000_000), None);
-        let (opt, _) =
-            execute_parsed_traced(&g, &query, PlanOptions::default(), &generous).unwrap();
-        let (oracle, _) = execute_parsed_traced(
+        let (opt, _) = execute_parsed(&g, &query, PlanOptions::default(), &generous).unwrap();
+        let (oracle, _) = execute_parsed(
             &g,
             &query,
             PlanOptions::default().optimize(false),
@@ -196,7 +195,7 @@ fn budget_semantics_survive_the_planner() {
 
         if !opt.is_empty() {
             let starved = Budget::limited(Some(1), None);
-            let err = execute_parsed_traced(&g, &query, PlanOptions::default(), &starved)
+            let err = execute_parsed(&g, &query, PlanOptions::default(), &starved)
                 .expect_err("one unit of fuel cannot evaluate a recursive join");
             assert!(matches!(
                 err,

@@ -8,7 +8,7 @@
 use optimatch_suite::core::pattern::{Pattern, PatternPop, Relationship, Sign, StreamKindSpec};
 use optimatch_suite::core::rank::Prototype;
 use optimatch_suite::core::vocab::names;
-use optimatch_suite::core::{KnowledgeBase, KnowledgeBaseEntry, OptImatch};
+use optimatch_suite::core::{KnowledgeBase, KnowledgeBaseEntry, OptImatch, ScanOptions};
 use optimatch_suite::qep::fixtures;
 
 fn main() {
@@ -69,7 +69,10 @@ fn main() {
     // triggers after we lower the threshold? No: 1251 > 1000, and
     // SALES_FACT has 1.9e6 rows, so fig1 matches.
     let session = OptImatch::from_qeps([fixtures::fig1(), fixtures::fig8()]);
-    let reports = session.scan(&kb).expect("scan succeeds");
+    let reports = session
+        .scan_with(&kb, ScanOptions::default())
+        .expect("scan succeeds")
+        .reports;
     for report in &reports {
         println!("--- {} ---", report.qep_id);
         println!("{}", report.message());

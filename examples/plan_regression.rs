@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example plan_regression`
 
-use optimatch_suite::core::{builtin, OptImatch};
+use optimatch_suite::core::{builtin, OptImatch, ScanOptions};
 use optimatch_suite::qep::{diff_qeps, OpType};
 use optimatch_suite::workload::inject::{inject_pattern, PatternId, Variant};
 use optimatch_suite::workload::{generate_workload, InjectionConfig, WorkloadConfig};
@@ -66,7 +66,10 @@ fn main() {
         .cloned()
         .collect();
     let session = OptImatch::from_qeps(changed);
-    for report in session.scan(&builtin::paper_kb()).expect("scan succeeds") {
+    let outcome = session
+        .scan_with(&builtin::paper_kb(), ScanOptions::default())
+        .expect("scan succeeds");
+    for report in outcome.reports {
         println!("\n--- {} ---", report.qep_id);
         println!("{}", report.message());
     }

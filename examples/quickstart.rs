@@ -8,9 +8,10 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use optimatch_suite::core::{builtin, transform::TransformedQep, Matcher, OptImatch};
+use optimatch_suite::core::{builtin, transform::TransformedQep, Matcher, OptImatch, ScanOptions};
 use optimatch_suite::qep::{fixtures, format_qep, parse_qep, render_tree};
 use optimatch_suite::rdf::turtle::{to_turtle, PrefixMap};
+use optimatch_suite::sparql::Budget;
 
 fn main() {
     // --- 1. A QEP as a text artifact (what DB2's explain would emit). ---
@@ -44,7 +45,9 @@ fn main() {
     println!("=== Generated SPARQL (Figure-6 equivalent) ===");
     println!("{}", matcher.sparql());
 
-    let matches = matcher.find(&transformed).expect("matching succeeds");
+    let (matches, _planner) = matcher
+        .find_traced(&transformed, &Budget::unlimited(), true)
+        .expect("matching succeeds");
     println!("=== Matches ===");
     for m in &matches {
         for b in &m.bindings {
@@ -55,7 +58,10 @@ fn main() {
     // --- 4. Knowledge-base recommendations. ---
     let kb = builtin::paper_kb();
     let session = OptImatch::from_qeps([fig1]);
-    let reports = session.scan(&kb).expect("scan succeeds");
+    let reports = session
+        .scan_with(&kb, ScanOptions::default())
+        .expect("scan succeeds")
+        .reports;
     println!();
     println!("=== Recommendations for {} ===", reports[0].qep_id);
     println!("{}", reports[0].message());

@@ -3,10 +3,26 @@
 //! all workspace crates.
 
 use optimatch_suite::core::{
-    builtin, transform::TransformedQep, Matcher, OpenOptions, OptImatch, Source,
+    builtin, transform::TransformedQep, Matcher, OpenOptions, OptImatch, Pattern, PatternMatch,
+    ScanOptions, Source,
 };
 use optimatch_suite::qep::{fixtures, format_qep, parse_qep};
+use optimatch_suite::sparql::Budget;
 use optimatch_suite::workload::{generate_workload, WorkloadConfig};
+
+/// One unbudgeted match of `m` against one plan.
+fn find(m: &Matcher, t: &TransformedQep) -> Vec<PatternMatch> {
+    m.find_traced(t, &Budget::unlimited(), true)
+        .expect("matches")
+        .0
+}
+
+/// The ids of the QEPs in `session` that `pattern` matches.
+fn matching_ids(session: &OptImatch, pattern: &Pattern) -> Vec<String> {
+    let options = ScanOptions::default().fail_fast(true);
+    let found = session.search_with(pattern, &options).expect("matches");
+    found.qep_ids().into_iter().map(String::from).collect()
+}
 
 /// The full pipeline starting from *text*, exactly as a user of the tool
 /// would: files in, recommendations out.
@@ -15,7 +31,10 @@ fn text_to_recommendation_pipeline() {
     let text = format_qep(&fixtures::fig1());
     let qep = parse_qep(&text).expect("parses");
     let session = OptImatch::from_qeps([qep]);
-    let reports = session.scan(&builtin::paper_kb()).expect("scans");
+    let reports = session
+        .scan_with(&builtin::paper_kb(), ScanOptions::default())
+        .expect("scans")
+        .reports;
     assert_eq!(reports.len(), 1);
     let rec = &reports[0].recommendations[0];
     assert_eq!(rec.entry, "pattern-a-nljoin-tbscan");
@@ -64,7 +83,7 @@ fn workload_round_trips_and_transforms() {
 fn paper_worked_examples() {
     let fig1 = TransformedQep::new(fixtures::fig1());
     let a = Matcher::compile(&builtin::pattern_a().pattern).expect("compiles");
-    let matches = a.find(&fig1).expect("matches");
+    let matches = find(&a, &fig1);
     assert_eq!(matches.len(), 1);
     assert_eq!(matches[0].binding("TOP").and_then(|t| t.pop_id()), Some(2));
     assert_eq!(
@@ -74,7 +93,7 @@ fn paper_worked_examples() {
 
     let fig7 = TransformedQep::new(fixtures::fig7());
     let b = Matcher::compile(&builtin::pattern_b().pattern).expect("compiles");
-    let matches = b.find(&fig7).expect("matches");
+    let matches = find(&b, &fig7);
     assert!(!matches.is_empty());
     assert!(matches
         .iter()
@@ -95,9 +114,9 @@ fn matching_is_repeatable() {
     });
     let session = OptImatch::from_qeps(w.qeps.iter().cloned());
     let p = builtin::pattern_a().pattern;
-    let first = session.matching_ids(&p).expect("matches");
+    let first = matching_ids(&session, &p);
     for _ in 0..3 {
-        assert_eq!(session.matching_ids(&p).expect("matches"), first);
+        assert_eq!(matching_ids(&session, &p), first);
     }
 }
 
@@ -121,9 +140,6 @@ fn directory_and_memory_sessions_agree() {
     let from_mem = OptImatch::from_qeps(w.qeps.iter().cloned());
     assert_eq!(from_dir.len(), from_mem.len());
     let p = builtin::pattern_c().pattern;
-    assert_eq!(
-        from_dir.matching_ids(&p).expect("matches"),
-        from_mem.matching_ids(&p).expect("matches")
-    );
+    assert_eq!(matching_ids(&from_dir, &p), matching_ids(&from_mem, &p));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -6,7 +6,7 @@
 use std::time::Instant;
 
 use optimatch_suite::core::builtin::{self, synthetic_kb};
-use optimatch_suite::core::{transform::TransformedQep, Matcher};
+use optimatch_suite::core::{transform::TransformedQep, Matcher, ScanOptions};
 use optimatch_suite::workload::{generate_workload, WorkloadConfig};
 
 fn transformed(n: usize, seed: u64) -> Vec<TransformedQep> {
@@ -44,8 +44,11 @@ fn r_squared(xs: &[f64], ys: &[f64]) -> f64 {
 fn fig9_shape_linear_in_workload_size() {
     let workload = transformed(120, 42);
     let matcher = Matcher::compile(&builtin::pattern_a().pattern).expect("compiles");
+    let search = ScanOptions::default().fail_fast(true);
     // Warm up.
-    let _ = matcher.matching_qep_ids(&workload).expect("matches");
+    let _ = matcher
+        .search_workload(&workload, &search)
+        .expect("matches");
 
     let sizes = [30usize, 60, 90, 120];
     let mut xs = Vec::new();
@@ -53,7 +56,9 @@ fn fig9_shape_linear_in_workload_size() {
     for &n in &sizes {
         let start = Instant::now();
         for _ in 0..3 {
-            let _ = matcher.matching_qep_ids(&workload[..n]).expect("matches");
+            let _ = matcher
+                .search_workload(&workload[..n], &search)
+                .expect("matches");
         }
         xs.push(n as f64);
         ys.push(start.elapsed().as_secs_f64());
@@ -72,7 +77,9 @@ fn fig11_shape_linear_in_kb_size() {
     let time_for = |entries: usize| {
         let kb = synthetic_kb(entries);
         let start = Instant::now();
-        let _ = kb.scan_workload(&workload).expect("scans");
+        let _ = kb
+            .scan_workload_with(&workload, ScanOptions::default())
+            .expect("scans");
         start.elapsed().as_secs_f64()
     };
     // Warm up.
@@ -104,7 +111,10 @@ fn tool_exactness_shape() {
             .zip([PatternId::A, PatternId::B, PatternId::C])
     {
         let matcher = Matcher::compile(&entry.pattern).expect("compiles");
-        let mut found = matcher.matching_qep_ids(&ts).expect("matches");
+        let outcome = matcher
+            .search_workload(&ts, &ScanOptions::default().fail_fast(true))
+            .expect("matches");
+        let mut found = outcome.qep_ids();
         found.sort();
         let mut truth: Vec<String> = w.matching_ids(pid).iter().map(|s| s.to_string()).collect();
         truth.sort();

@@ -2,15 +2,19 @@
 //! pattern instances (the paper's 100%-precision claim), while the manual
 //! `grep` baseline misses the hard ones (its Table 1).
 
-use optimatch_suite::core::{builtin, transform::TransformedQep, Matcher};
+use optimatch_suite::core::{builtin, transform::TransformedQep, Matcher, ScanOptions};
 use optimatch_suite::workload::manual::{precision, GrepExpert};
 use optimatch_suite::workload::{generate_workload, study_workload, PatternId, WorkloadConfig};
 
 fn tool_ids(pattern: &optimatch_suite::core::Pattern, ts: &[TransformedQep]) -> Vec<String> {
     Matcher::compile(pattern)
         .expect("compiles")
-        .matching_qep_ids(ts)
+        .search_workload(ts, &ScanOptions::default().fail_fast(true))
         .expect("matches")
+        .qep_ids()
+        .into_iter()
+        .map(String::from)
+        .collect()
 }
 
 /// Tool results equal injected ground truth for every pattern — both no

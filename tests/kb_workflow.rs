@@ -4,7 +4,7 @@
 use optimatch_suite::core::pattern::{Pattern, PatternPop, Sign};
 use optimatch_suite::core::rank::Prototype;
 use optimatch_suite::core::vocab::names;
-use optimatch_suite::core::{builtin, KnowledgeBase, KnowledgeBaseEntry, OptImatch};
+use optimatch_suite::core::{builtin, KnowledgeBase, KnowledgeBaseEntry, OptImatch, ScanOptions};
 use optimatch_suite::workload::{generate_workload, WorkloadConfig};
 
 fn small_workload(seed: u64, n: usize) -> Vec<optimatch_suite::qep::Qep> {
@@ -29,8 +29,14 @@ fn kb_persistence_round_trip_preserves_scan_results() {
     let qeps = small_workload(31, 25);
     let s1 = OptImatch::from_qeps(qeps.iter().cloned());
     let s2 = OptImatch::from_qeps(qeps.iter().cloned());
-    let r1 = s1.scan(&kb).expect("scan");
-    let r2 = s2.scan(&reloaded).expect("scan");
+    let r1 = s1
+        .scan_with(&kb, ScanOptions::default())
+        .expect("scan")
+        .reports;
+    let r2 = s2
+        .scan_with(&reloaded, ScanOptions::default())
+        .expect("scan")
+        .reports;
     assert_eq!(r1, r2);
 }
 
@@ -40,7 +46,10 @@ fn kb_persistence_round_trip_preserves_scan_results() {
 fn reports_are_ranked_and_complete() {
     let qeps = small_workload(77, 40);
     let session = OptImatch::from_qeps(qeps);
-    let reports = session.scan(&builtin::paper_kb()).expect("scan");
+    let reports = session
+        .scan_with(&builtin::paper_kb(), ScanOptions::default())
+        .expect("scan")
+        .reports;
     assert_eq!(reports.len(), 40);
     let mut any_rec = false;
     let mut any_clean = false;
@@ -87,12 +96,18 @@ fn custom_entries_and_synthetic_kb() {
 
     let qeps = small_workload(13, 20);
     let session = OptImatch::from_qeps(qeps);
-    let reports = session.scan(&kb).expect("scan");
+    let reports = session
+        .scan_with(&kb, ScanOptions::default())
+        .expect("scan")
+        .reports;
     assert_eq!(reports.len(), 20);
 
     // Figure-11 scale: a 100-entry synthetic KB scans the same workload.
     let big = builtin::synthetic_kb(100);
-    let reports = session.scan(&big).expect("scan");
+    let reports = session
+        .scan_with(&big, ScanOptions::default())
+        .expect("scan")
+        .reports;
     assert_eq!(reports.len(), 20);
 }
 
@@ -104,7 +119,10 @@ fn recommendations_adapt_context_per_plan() {
     let session = OptImatch::from_qeps([fixtures::fig1(), fixtures::fig8()]);
     let mut kb = KnowledgeBase::new();
     kb.add(builtin::pattern_c()).expect("valid");
-    let reports = session.scan(&kb).expect("scan");
+    let reports = session
+        .scan_with(&kb, ScanOptions::default())
+        .expect("scan")
+        .reports;
     // fig8 matches pattern C and must name TRAN_BASE context, which the
     // template itself never mentions.
     let fig8 = reports

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use optimatch_suite::core::pattern::{Pattern, PatternPop, Relationship, Sign, StreamKindSpec};
 use optimatch_suite::core::vocab::{self, names};
 use optimatch_suite::core::{
-    builtin, transform::TransformedQep, transform_qep, Matcher, PruneStats, ScanOptions,
+    builtin, transform::TransformedQep, transform_qep, Matcher, ScanOptions,
 };
 use optimatch_suite::qep::{format_qep, parse_qep, InputSource, Qep};
 use optimatch_suite::workload::{
@@ -110,7 +110,10 @@ proptest! {
 
         let t = TransformedQep::new(q);
         let m = Matcher::compile(&builtin::pattern_a().pattern).expect("compiles");
-        let found = !m.find(&t).expect("matches").is_empty();
+        let (matches, _) = m
+            .find_traced(&t, &optimatch_suite::sparql::Budget::unlimited(), true)
+            .expect("matches");
+        let found = !matches.is_empty();
         prop_assert_eq!(found, oracle);
     }
 
@@ -222,7 +225,9 @@ proptest! {
     /// Soundness of the pruning index: over arbitrary generated workloads,
     /// a pruned scan (and a pruned + threaded scan) returns exactly the
     /// reports of an unpruned scan, and pruned matcher searches return
-    /// exactly the unpruned matches.
+    /// exactly the unpruned matches. The threaded scan's whole outcome —
+    /// counters, samples, fuel, and planner trace included — equals the
+    /// sequential one.
     #[test]
     fn pruned_scan_equals_unpruned_scan(seed in any::<u64>(), n in 2usize..10) {
         let w = generate_workload(&WorkloadConfig {
@@ -244,7 +249,7 @@ proptest! {
             .scan_workload_with(&workload, ScanOptions::default().threads(3))
             .expect("scans");
         prop_assert_eq!(&unpruned.reports, &pruned.reports);
-        prop_assert_eq!(&unpruned.reports, &threaded.reports);
+        prop_assert_eq!(&pruned, &threaded);
         prop_assert_eq!(unpruned.stats.pruned, 0);
         prop_assert_eq!(
             pruned.stats.evaluated + pruned.stats.pruned,
@@ -253,14 +258,13 @@ proptest! {
 
         for entry in kb.entries() {
             let m = Matcher::compile(&entry.pattern).expect("compiles");
-            let mut stats = PruneStats::default();
-            let fast = m
-                .find_in_workload_with(&workload, true, &mut stats)
-                .expect("matches");
-            let slow = m
-                .find_in_workload_with(&workload, false, &mut PruneStats::default())
-                .expect("matches");
-            prop_assert_eq!(fast, slow);
+            let search = |prune| {
+                let options = ScanOptions::default().prune(prune).fail_fast(true);
+                m.search_workload(&workload, &options).expect("matches")
+            };
+            let (fast, slow) = (search(true), search(false));
+            prop_assert_eq!(&fast.matches, &slow.matches);
+            prop_assert_eq!(fast.qep_ids(), slow.qep_ids());
         }
     }
 }
