@@ -1,12 +1,12 @@
 //! `scan_bench` — pruned vs. unpruned knowledge-base scan (the fig9-style
-//! experiment for the workload pruning index), plus the query-planner
+//! experiment for required-pattern pruning), plus the query-planner
 //! ablation: every builtin pattern searched across the paper-shaped
 //! workload with the planner on (greedy order, guided paths) and off
 //! (source order), reported under the `"planner"` key.
 //!
 //! The workload is half paper-shaped QEPs (which the built-in patterns can
-//! fire on) and half prunable aggregation chains (which no pattern can
-//! match, decidable from the feature summary alone). Both scans must
+//! fire on) and half prunable join chains (which no pattern can match,
+//! decidable from one index probe on each plan's graph). Both scans must
 //! produce byte-identical reports; the JSON written to `BENCH_scan.json`
 //! records the timings, the pruning counters, and the speedups.
 //!

@@ -52,11 +52,11 @@ pub fn time_kb_scan(kb: &KnowledgeBase, workload: &[TransformedQep]) -> Duration
 
 /// A plan no built-in KB pattern can match, but which is expensive to
 /// *prove* non-matching in the evaluator: a left-deep spine of `joins`
-/// INNER `NLJOIN`s over `TEMP` leaves. Every pattern is rejected by the
-/// feature index from the summary alone (no `TBSCAN`, no `IXSCAN`, no
-/// `SORT`, no `LEFT OUTER` join literal), while an unpruned scan must
+/// INNER `NLJOIN`s over `TEMP` leaves. Every pattern is rejected by one
+/// required-pattern probe on the plan's graph (no `TBSCAN`, no `IXSCAN`,
+/// no `SORT`, no `LEFT OUTER` join literal), while an unpruned scan must
 /// enumerate every join and walk its streams before failing. These plans
-/// measure what the pruning index actually saves.
+/// measure what pruning actually saves.
 pub fn prunable_plan(id: usize, joins: usize) -> optimatch_qep::Qep {
     use optimatch_qep::{InputSource, InputStream, OpType, PlanOp, Qep, StreamKind};
     let joins = joins.max(1) as u32;
@@ -128,6 +128,7 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optimatch_core::{builtin, PruneStats};
 
     #[test]
     fn linear_fit_exact_line() {
@@ -153,6 +154,30 @@ mod tests {
         let b = paper_workload(10);
         assert_eq!(a.qeps, b.qeps);
         assert_eq!(a.qeps.len(), 10);
+    }
+
+    /// Pins how much pruning prunes on a fixed mix of paper-shaped plans
+    /// and prunable fillers: the exact counters of a scan with the paper
+    /// and the extended KB. A pruner that quietly gets weaker (or
+    /// unsoundly stronger) changes them.
+    #[test]
+    fn prune_counts_are_pinned() {
+        let mut qeps = paper_workload(12).qeps;
+        qeps.extend((0..12).map(|i| prunable_plan(i, 6)));
+        let workload: Vec<TransformedQep> = qeps.into_iter().map(TransformedQep::new).collect();
+        let stats = |kb: KnowledgeBase| {
+            kb.scan_workload_with(&workload, ScanOptions::default())
+                .expect("KB scans are valid")
+                .stats
+        };
+        let expected = |candidates, pruned, evaluated, matched| PruneStats {
+            candidates,
+            pruned,
+            evaluated,
+            matched,
+        };
+        assert_eq!(stats(builtin::paper_kb()), expected(96, 58, 38, 10));
+        assert_eq!(stats(builtin::extended_kb()), expected(168, 82, 86, 12));
     }
 
     #[test]

@@ -1860,7 +1860,7 @@ mod tests {
 
         let stats = run_ok(&["repo", "stats", repo.to_str().unwrap()]);
         assert!(stats.contains("10 record(s)"), "{stats}");
-        assert!(stats.contains("format v1"), "{stats}");
+        assert!(stats.contains("format v2"), "{stats}");
 
         let verify = run_ok(&["repo", "verify", repo.to_str().unwrap()]);
         assert!(verify.contains("OK"), "{verify}");

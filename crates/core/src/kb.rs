@@ -14,7 +14,6 @@ use optimatch_sparql::{BudgetCause, EvalStats, SparqlError};
 use serde::{Deserialize, Serialize};
 
 use crate::error::Error;
-use crate::features::PruneStats;
 use crate::matcher::{Matcher, MatcherCache, PatternMatch};
 use crate::pattern::Pattern;
 use crate::rank::{self, Prototype};
@@ -122,8 +121,9 @@ impl std::error::Error for KbError {
 pub struct ScanOptions {
     /// Worker threads (1 = sequential; values are clamped to ≥ 1).
     pub threads: usize,
-    /// Whether the feature index may skip graphs (results are identical
-    /// either way; turning it off exists for benchmarks and debugging).
+    /// Whether a unit whose required patterns miss the graph may be skipped
+    /// (results are identical either way; turning it off exists for
+    /// benchmarks and debugging).
     pub prune: bool,
     /// Step budget ("fuel") for each (entry × QEP) evaluation; `None` is
     /// unlimited. Budgets are observational until exceeded: a unit within
@@ -168,7 +168,7 @@ impl ScanOptions {
         self
     }
 
-    /// Enable or disable feature-index pruning.
+    /// Enable or disable required-pattern pruning.
     pub fn prune(mut self, prune: bool) -> ScanOptions {
         self.prune = prune;
         self
@@ -317,13 +317,48 @@ pub struct MatchSample {
     pub cost_share: f64,
 }
 
+/// Counters proving what pruning did during a scan. `pruned` graphs were
+/// skipped without invoking the SPARQL evaluator; soundness is asserted by
+/// the equivalence tests (pruned results == unpruned results).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PruneStats {
+    /// (graph, matcher) pairs considered.
+    pub candidates: usize,
+    /// Pairs skipped because a required pattern has no matching triple.
+    pub pruned: usize,
+    /// Pairs handed to the SPARQL evaluator.
+    pub evaluated: usize,
+    /// Evaluated pairs that produced at least one match.
+    pub matched: usize,
+}
+
+impl PruneStats {
+    /// Fold another counter set into this one (used when merging
+    /// per-thread stats).
+    pub fn merge(&mut self, other: &PruneStats) {
+        self.candidates += other.candidates;
+        self.pruned += other.pruned;
+        self.evaluated += other.evaluated;
+        self.matched += other.matched;
+    }
+
+    /// Fraction of candidate pairs pruned, in `[0, 1]`.
+    pub fn prune_rate(&self) -> f64 {
+        if self.candidates == 0 {
+            0.0
+        } else {
+            self.pruned as f64 / self.candidates as f64
+        }
+    }
+}
+
 /// A workload scan's reports plus the pruning counters that produced them
 /// and any contained unit failures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanOutcome {
     /// One report per workload QEP, in workload order.
     pub reports: Vec<QepReport>,
-    /// What the feature index did across all (QEP, entry) pairs.
+    /// What pruning did across all (QEP, entry) pairs.
     pub stats: PruneStats,
     /// Contained unit failures, in workload order then entry order
     /// (deterministic for a given workload, KB, and budget). Empty for a
@@ -400,8 +435,8 @@ pub(crate) struct UnitRunner {
 }
 
 impl UnitRunner {
-    /// Run one (entry × QEP) unit. With `options.prune`, a unit the
-    /// feature index proves cannot match yields no matches without
+    /// Run one (entry × QEP) unit. With `options.prune`, a unit that
+    /// [`Matcher::could_match`] proves empty yields no matches without
     /// touching the evaluator; otherwise it runs inside [`run_contained`].
     /// A failed unit is recorded and yields `None` — or, with
     /// `options.fail_fast`, aborts the loop as [`Error::Incident`].
@@ -777,6 +812,29 @@ mod tests {
     use super::*;
     use crate::builtin;
     use optimatch_qep::fixtures;
+
+    #[test]
+    fn prune_stats_merge_and_rate() {
+        let mut a = PruneStats {
+            candidates: 4,
+            pruned: 1,
+            evaluated: 3,
+            matched: 2,
+        };
+        let b = PruneStats {
+            candidates: 6,
+            pruned: 4,
+            evaluated: 2,
+            matched: 0,
+        };
+        a.merge(&b);
+        assert_eq!(a.candidates, 10);
+        assert_eq!(a.pruned, 5);
+        assert_eq!(a.evaluated, 5);
+        assert_eq!(a.matched, 2);
+        assert!((a.prune_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(PruneStats::default().prune_rate(), 0.0);
+    }
 
     fn workload() -> Vec<TransformedQep> {
         [fixtures::fig1(), fixtures::fig7(), fixtures::fig8()]

@@ -20,7 +20,10 @@
 //!    relationships become SPARQL property paths (recursion).
 //! 4. [`matcher`] — **Algorithm 3**: the SPARQL query runs against each
 //!    QEP's RDF graph and matched portions are *de-transformed* back into
-//!    plan context (operator numbers, base objects).
+//!    plan context (operator numbers, base objects). Before evaluating, a
+//!    few index probes for the query's required triple patterns
+//!    ([`Matcher::could_match`]) let scans skip graphs that provably
+//!    cannot match.
 //! 5. [`kb`] + [`tagging`] + [`rank`] — **Algorithms 4–5**: the knowledge
 //!    base stores patterns with recommendation templates written in the
 //!    tagging language (`@alias`, `@[a,b]`, `@limit(n)`, helper functions
@@ -29,17 +32,13 @@
 //! 6. [`builtin`] — the paper's Patterns A–D with their recommendations.
 //! 7. [`cluster`] — cost-based workload clustering with per-cluster
 //!    pattern correlation (the fourth §1.1 use case).
-//! 8. [`features`] — the workload pruning index: per-graph feature
-//!    summaries checked against per-matcher required features, so scans
-//!    skip graphs that provably cannot match without touching the SPARQL
-//!    evaluator.
-//! 9. [`session`] — the `OptImatch` facade tying it all together for
+//! 8. [`session`] — the `OptImatch` facade tying it all together for
 //!    workload-scale analysis.
-//! 10. [`repo`] — persistence bridge to `optimatch-repo`: snapshot a
-//!     transformed workload into a checksummed on-disk repository and
-//!     reopen it later as a warm-start session (repository-backed
-//!     [`OptImatch::open`]) with no parse or transform work.
-//! 11. [`lint`] — clippy-style static analysis over KB entries: pattern
+//! 9. [`repo`] — persistence bridge to `optimatch-repo`: snapshot a
+//!    transformed workload into a checksummed on-disk repository and
+//!    reopen it later as a warm-start session (repository-backed
+//!    [`OptImatch::open`]) with no parse or transform work.
+//! 10. [`lint`] — clippy-style static analysis over KB entries: pattern
 //!     semantics (contradictions, unknown types/properties, unreachable
 //!     pops), compiled-query analysis (cartesian products, unbound
 //!     FILTER variables, non-well-designed OPTIONALs, recursive paths),
@@ -52,7 +51,6 @@ pub mod chaos;
 pub mod cluster;
 pub mod compile;
 pub mod error;
-pub mod features;
 pub mod handlers;
 pub mod kb;
 pub mod lint;
@@ -71,10 +69,9 @@ pub mod transform;
 pub mod vocab;
 
 pub use error::Error;
-pub use features::{FeatureSummary, PruneStats, RequiredFeatures};
 pub use kb::{
-    render_scan_json, IncidentCause, KnowledgeBase, KnowledgeBaseEntry, MatchSample, QepReport,
-    Recommendation, ScanIncident, ScanOptions, ScanOutcome,
+    render_scan_json, IncidentCause, KnowledgeBase, KnowledgeBaseEntry, MatchSample, PruneStats,
+    QepReport, Recommendation, ScanIncident, ScanOptions, ScanOutcome,
 };
 pub use lint::{Artifact, Diagnostic, PatternIssue, Severity};
 pub use live::{

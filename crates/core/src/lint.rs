@@ -17,8 +17,8 @@
 //!    note for recursive property paths from descendant relationships.
 //! 3. **Cross-artifact checks** — template tags referencing aliases no
 //!    pop defines, helper functions over value bindings, and (given a
-//!    workload) dead-pattern detection through the pruning index
-//!    ([`lint_dead_patterns`]).
+//!    workload) dead-pattern detection through the same required-pattern
+//!    probes scans prune with ([`lint_dead_patterns`]).
 //!
 //! Every diagnostic carries a stable `OL`-prefixed code, a severity, the
 //! offending entry/pop, and a suggestion — rendered by `optimatch-lint`
@@ -943,10 +943,10 @@ pub fn lint_entries(entries: &[KnowledgeBaseEntry]) -> Vec<Diagnostic> {
     out
 }
 
-/// Dead-pattern detection against a stored workload: an entry whose
-/// required features ([`crate::features::RequiredFeatures`]) no QEP's
-/// [`crate::features::FeatureSummary`] satisfies can never match — the
-/// same test the scan-time pruning index applies, so this is exact with
+/// Dead-pattern detection against a stored workload: an entry with a
+/// required triple pattern that no QEP graph has a matching triple for
+/// ([`crate::Matcher::could_match`] is false everywhere) can never match.
+/// It is the same test scan-time pruning applies, so this is exact with
 /// respect to what a scan would evaluate.
 pub fn lint_dead_patterns(
     entries: &[KnowledgeBaseEntry],
@@ -970,8 +970,8 @@ pub fn lint_dead_patterns(
                 Artifact::Pattern,
                 None,
                 format!(
-                    "dead pattern: none of the {} stored QEP(s) can satisfy its required \
-                     features (every scan would prune it)",
+                    "dead pattern: in each of the {} stored QEP(s), one of its required \
+                     triple patterns has no matching triple (every scan would prune it)",
                     workload.len()
                 ),
                 Some(

@@ -14,12 +14,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use optimatch_rdf::Term;
 use optimatch_sparql::{
     ast, execute_parsed, explain_parsed, parse_query, Budget, EvalStats, PhysicalPlan, PlanOptions,
+    RequiredPatterns,
 };
 
 use crate::compile::compile_pattern;
 use crate::error::Error;
-use crate::features::{PruneStats, RequiredFeatures};
-use crate::kb::{ScanIncident, ScanOptions, UnitRunner};
+use crate::kb::{PruneStats, ScanIncident, ScanOptions, UnitRunner};
 use crate::pattern::Pattern;
 use crate::transform::TransformedQep;
 use crate::vocab;
@@ -99,16 +99,16 @@ pub struct Matcher {
     pattern: Pattern,
     sparql: String,
     query: ast::Query,
-    required: RequiredFeatures,
+    required: RequiredPatterns,
 }
 
 impl Matcher {
     /// Compile a pattern (Algorithm 2), parse the generated SPARQL, and
-    /// derive the required-features set used for workload pruning.
+    /// derive the required-pattern probes used for workload pruning.
     pub fn compile(pattern: &Pattern) -> Result<Matcher, Error> {
         let sparql = compile_pattern(pattern)?;
         let query = parse_query(&sparql)?;
-        let required = RequiredFeatures::of_query(&query);
+        let required = RequiredPatterns::of(&query);
         Ok(Matcher {
             pattern: pattern.clone(),
             sparql,
@@ -127,16 +127,11 @@ impl Matcher {
         &self.sparql
     }
 
-    /// The conservative feature set a graph must exhibit to match.
-    pub fn required_features(&self) -> &RequiredFeatures {
-        &self.required
-    }
-
-    /// Cheap pre-check: `false` proves [`Matcher::find_traced`] would
-    /// return no matches for this QEP; `true` means the evaluator must
-    /// decide.
+    /// Cheap pre-check on the QEP graph's own indexes: `false` proves
+    /// [`Matcher::find_traced`] would return no matches for this QEP;
+    /// `true` means the evaluator must decide.
     pub fn could_match(&self, t: &TransformedQep) -> bool {
-        self.required.satisfied_by(&t.summary, &t.graph)
+        self.required.may_match(&t.graph)
     }
 
     /// Match against one transformed QEP under an evaluation [`Budget`],
@@ -188,10 +183,10 @@ impl Matcher {
     }
 
     /// Match across a workload (the loop of Algorithm 3), concatenating
-    /// per-QEP matches. Each per-QEP unit may be skipped by the feature
-    /// index (`options.prune`), is budgeted (`options.fuel` /
-    /// `options.deadline`), and is panic-contained. Failing units are
-    /// recorded as incidents — or abort the search when
+    /// per-QEP matches. Each per-QEP unit may be skipped by
+    /// [`Matcher::could_match`] (`options.prune`), is budgeted
+    /// (`options.fuel` / `options.deadline`), and is panic-contained.
+    /// Failing units are recorded as incidents — or abort the search when
     /// `options.fail_fast` is set. `options.threads` is ignored (ad-hoc
     /// searches run one pattern, sequentially).
     pub fn search_workload(
@@ -224,7 +219,7 @@ impl Matcher {
 pub struct SearchOutcome {
     /// Matches across the workload, in workload order.
     pub matches: Vec<PatternMatch>,
-    /// What the feature index did.
+    /// What pruning did.
     pub stats: PruneStats,
     /// Contained unit failures, in workload order.
     pub incidents: Vec<ScanIncident>,
@@ -475,6 +470,54 @@ mod tests {
         assert_eq!(pruned.matches, unpruned.matches);
         assert_eq!(unpruned.stats.pruned, 0);
         assert_eq!(unpruned.stats.evaluated, w.len());
+    }
+
+    fn could_match(entry: crate::KnowledgeBaseEntry, qep: optimatch_qep::Qep) -> bool {
+        let m = Matcher::compile(&entry.pattern).unwrap();
+        m.could_match(&TransformedQep::new(qep))
+    }
+
+    /// A one-operator plan: no input, so no stream edge at all.
+    fn lone(op_type: optimatch_qep::OpType) -> optimatch_qep::Qep {
+        let mut q = optimatch_qep::Qep::new("lone");
+        q.insert_op(optimatch_qep::PlanOp::new(1, op_type));
+        q
+    }
+
+    #[test]
+    fn op_type_probe_needs_an_operator_of_that_type() {
+        // Pattern D requires hasPopType "SORT": fig1 has none; its
+        // sort-spill variant has one, so it must be evaluated.
+        assert!(!could_match(builtin::pattern_d(), fixtures::fig1()));
+        assert!(could_match(
+            builtin::pattern_d(),
+            fixtures::fig1_sort_spill()
+        ));
+    }
+
+    #[test]
+    fn literal_object_probe_needs_that_value() {
+        // Pattern B requires hasJoinType "LEFT OUTER". Every plan asserts
+        // hasJoinType, but fig1's joins are all INNER.
+        assert!(!could_match(builtin::pattern_b(), fixtures::fig1()));
+        assert!(could_match(builtin::pattern_b(), fixtures::fig7()));
+    }
+
+    #[test]
+    fn any_kind_descendant_path_needs_a_stream_edge() {
+        // The MQT entry reaches its join through (outer|inner|input)+,
+        // which names no single required predicate but still needs one
+        // stream edge; a lone GRPBY has every other required triple.
+        let mqt = builtin::pattern_mqt_opportunity;
+        assert!(!could_match(mqt(), lone(optimatch_qep::OpType::GrpBy)));
+        // Over ANY operators the path is the only structural requirement.
+        let mut entry = mqt();
+        for pop in &mut entry.pattern.pops {
+            pop.op_type = "ANY".into();
+            pop.properties.clear();
+        }
+        assert!(could_match(entry.clone(), fixtures::fig1()));
+        assert!(!could_match(entry, lone(optimatch_qep::OpType::Return)));
     }
 
     #[test]

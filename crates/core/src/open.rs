@@ -99,7 +99,7 @@ pub enum Strictness {
 pub struct OpenOptions {
     /// Skip-and-report vs fail-fast loading.
     pub strictness: Strictness,
-    /// Baseline: whether scans may use the feature-index pruning.
+    /// Baseline: whether scans may use required-pattern pruning.
     pub prune: bool,
     /// Baseline: scan worker threads (clamped to ≥ 1).
     pub threads: usize,
@@ -147,7 +147,7 @@ impl OpenOptions {
         self.strictness(Strictness::Lenient)
     }
 
-    /// Enable or disable feature-index pruning in the baseline.
+    /// Enable or disable required-pattern pruning in the baseline.
     pub fn prune(mut self, prune: bool) -> OpenOptions {
         self.prune = prune;
         self

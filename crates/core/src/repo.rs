@@ -6,18 +6,17 @@
 //! session restored from a repository produces **byte-identical** scan
 //! reports to one built from the same plan directory. Everything the
 //! scan consumes — the interned RDF graph (with its dense term ids and
-//! blank-node counter), the parsed plan, the pruning summary — is stored
-//! and reconstructed exactly; nothing is re-derived on load.
+//! blank-node counter) and the parsed plan — is stored and reconstructed
+//! exactly; nothing is re-derived on load.
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 
 use optimatch_qep::{parse_qep, Qep};
 use optimatch_rdf::Graph;
-use optimatch_repo::{RepoRecord, Repository, StoredSummary};
+use optimatch_repo::{RepoRecord, Repository};
 
 use crate::error::Error;
-use crate::features::FeatureSummary;
 use crate::session::{OptImatch, SkipCause, SkippedFile};
 use crate::transform::TransformedQep;
 
@@ -33,35 +32,18 @@ pub fn snapshot(t: &TransformedQep, source_file: &str, labels: Vec<String>) -> R
         id: t.qep.id.clone(),
         source_file: source_file.to_string(),
         labels,
-        summary: StoredSummary {
-            predicates: t.summary.predicates.iter().cloned().collect(),
-            op_types: t.summary.op_types.iter().cloned().collect(),
-            op_count: t.summary.op_count as u64,
-            max_fan_in: t.summary.max_fan_in as u64,
-        },
         qep: Qep::clone(&t.qep),
         graph: Graph::clone(&t.graph),
     }
 }
 
-/// Rebuild a transformed QEP from a repository record. The pruning
-/// summary comes straight from the stored fields — no re-scan of the
-/// graph — so a warm load does none of the transform-time work.
+/// Rebuild a transformed QEP from a repository record: the stored plan
+/// and graph are used as they are, so a warm load does none of the
+/// transform-time work.
 pub fn restore(record: RepoRecord) -> TransformedQep {
-    let summary = FeatureSummary {
-        predicates: record
-            .summary
-            .predicates
-            .into_iter()
-            .collect::<BTreeSet<_>>(),
-        op_types: record.summary.op_types.into_iter().collect::<BTreeSet<_>>(),
-        op_count: record.summary.op_count as usize,
-        max_fan_in: record.summary.max_fan_in as usize,
-    };
     TransformedQep {
         qep: record.qep.into(),
         graph: record.graph.into(),
-        summary: summary.into(),
     }
 }
 
@@ -203,16 +185,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips_the_summary() {
+    fn snapshot_restore_round_trips_plan_and_graph() {
         let t = TransformedQep::new(fixtures::fig1());
         let restored = restore(snapshot(&t, "fig1.qep", vec!["Pattern A".into()]));
-        assert_eq!(restored.summary, t.summary);
         assert_eq!(restored.qep, t.qep);
-        assert_eq!(restored.graph.len(), t.graph.len());
-        // The restored summary equals what a fresh transform would compute.
         assert_eq!(
-            *restored.summary,
-            FeatureSummary::of_graph(&restored.qep, &restored.graph)
+            restored.graph.iter_ids().collect::<Vec<_>>(),
+            t.graph.iter_ids().collect::<Vec<_>>()
         );
     }
 

@@ -21,13 +21,13 @@ use optimatch_qep::{InputSource, JoinModifier, PredicateKind, Qep, StreamKind};
 use optimatch_rdf::numeric::format_double;
 use optimatch_rdf::{Graph, Term};
 
-use crate::features::FeatureSummary;
 use crate::vocab::{self, names};
 
 /// A QEP together with its RDF graph — the unit the matcher works on.
+/// Pruning probes the graph's own indexes, so nothing else is derived.
 ///
-/// Immutable after construction. The plan, graph and summary each sit
-/// behind an `Arc`, so a clone copies three pointers, never the plan:
+/// Immutable after construction. The plan and graph each sit behind an
+/// `Arc`, so a clone copies two pointers, never the plan:
 /// successive session snapshots share one copy of every resident plan
 /// (an ingest's successor workload is the predecessor's pointers plus
 /// the new plan), and dropping an old snapshot only decrements counts.
@@ -37,19 +37,15 @@ pub struct TransformedQep {
     pub qep: Arc<Qep>,
     /// The derived RDF graph.
     pub graph: Arc<Graph>,
-    /// Cheap pruning facts about the graph (see [`crate::features`]).
-    pub summary: Arc<FeatureSummary>,
 }
 
 impl TransformedQep {
-    /// Shorthand: transform a plan and summarise its features.
+    /// Shorthand: transform a plan.
     pub fn new(qep: Qep) -> TransformedQep {
         let graph = transform_qep(&qep);
-        let summary = FeatureSummary::of_graph(&qep, &graph);
         TransformedQep {
             qep: Arc::new(qep),
             graph: Arc::new(graph),
-            summary: Arc::new(summary),
         }
     }
 }

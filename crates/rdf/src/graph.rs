@@ -372,65 +372,36 @@ impl Graph {
         p: Option<&Term>,
         o: Option<&Term>,
     ) -> Box<dyn Iterator<Item = Triple> + 'g> {
-        // Translate terms to ids; an unknown term ⇒ empty result.
-        let mut ids = [None, None, None];
-        for (slot, term) in ids.iter_mut().zip([s, p, o]) {
-            match term {
-                None => {}
-                Some(t) => match self.pool.get(t) {
-                    Some(id) => *slot = Some(id),
-                    None => return Box::new(std::iter::empty()),
-                },
+        let Some([s, p, o]) = self.pattern_ids([s, p, o]) else {
+            return Box::new(std::iter::empty());
+        };
+        Box::new(self.matching_ids(s, p, o).map(move |[s, p, o]| {
+            (
+                self.pool.resolve(s).clone(),
+                self.pool.resolve(p).clone(),
+                self.pool.resolve(o).clone(),
+            )
+        }))
+    }
+
+    /// True when at least one triple matches `(s, p, o)`, `None` being a
+    /// wildcard: one O(log n) index probe. A term that is not interned
+    /// matches nothing.
+    pub fn has_match(&self, s: Option<&Term>, p: Option<&Term>, o: Option<&Term>) -> bool {
+        self.pattern_ids([s, p, o])
+            .is_some_and(|[s, p, o]| self.matching_ids(s, p, o).next().is_some())
+    }
+
+    /// Translate a term pattern to ids, keeping wildcards; `None` when a
+    /// bound term is not interned (so nothing can match).
+    fn pattern_ids(&self, pattern: [Option<&Term>; 3]) -> Option<[Option<TermId>; 3]> {
+        let mut ids = [None; 3];
+        for (slot, term) in ids.iter_mut().zip(pattern) {
+            if let Some(t) = term {
+                *slot = Some(self.pool.get(t)?);
             }
         }
-        Box::new(
-            self.matching_ids(ids[0], ids[1], ids[2])
-                .map(move |[s, p, o]| {
-                    (
-                        self.pool.resolve(s).clone(),
-                        self.pool.resolve(p).clone(),
-                        self.pool.resolve(o).clone(),
-                    )
-                }),
-        )
-    }
-
-    /// Number of triples with the given predicate — the selectivity signal
-    /// the SPARQL planner uses to order triple patterns.
-    pub fn predicate_cardinality(&self, p: TermId) -> usize {
-        range1(&self.pos, p).count()
-    }
-
-    /// The distinct predicates asserted in this graph, in id order (one
-    /// POS-index walk). This is the predicate presence set the workload
-    /// pruning layer summarizes per QEP.
-    pub fn distinct_predicates(&self) -> Vec<TermId> {
-        let mut out = Vec::new();
-        for &[p, _, _] in &self.pos {
-            if out.last() != Some(&p) {
-                out.push(p);
-            }
-        }
-        out
-    }
-
-    /// True when at least one triple carries predicate `p`. An un-interned
-    /// term is trivially absent.
-    pub fn has_predicate(&self, p: &Term) -> bool {
-        self.pool
-            .get(p)
-            .is_some_and(|id| range1(&self.pos, id).next().is_some())
-    }
-
-    /// True when at least one triple carries predicate `p` with object `o`
-    /// — an O(log n) POS probe, used by the pruning layer to reject graphs
-    /// that lack a required concrete property value without running any
-    /// SPARQL.
-    pub fn has_predicate_object(&self, p: &Term, o: &Term) -> bool {
-        match (self.pool.get(p), self.pool.get(o)) {
-            (Some(p), Some(o)) => range2(&self.pos, p, o).next().is_some(),
-            _ => false,
-        }
+        Some(ids)
     }
 
     /// The single object of `(s, p, ?)` if exactly one exists.
@@ -593,24 +564,26 @@ mod tests {
     }
 
     #[test]
-    fn presence_checks_and_distinct_predicates() {
+    fn has_match_probes_with_wildcards() {
         let g = sample();
-        let preds: Vec<&Term> = g
-            .distinct_predicates()
-            .into_iter()
-            .map(|id| g.term(id))
-            .collect();
-        assert_eq!(preds.len(), 3);
-        assert!(preds.contains(&&Term::iri("p:hasPopType")));
-
-        assert!(g.has_predicate(&Term::iri("p:hasInputStream")));
-        assert!(!g.has_predicate(&Term::iri("p:never")));
+        let p = |n: &str| Term::iri(n);
+        assert!(g.has_match(None, Some(&p("p:hasInputStream")), None));
+        assert!(!g.has_match(None, Some(&p("p:never")), None));
         // An interned term that never appears in predicate position.
-        assert!(!g.has_predicate(&Term::iri("q:pop2")));
+        assert!(!g.has_match(None, Some(&p("q:pop2")), None));
 
-        assert!(g.has_predicate_object(&Term::iri("p:hasPopType"), &Term::lit_str("TBSCAN")));
-        assert!(!g.has_predicate_object(&Term::iri("p:hasPopType"), &Term::lit_str("HSJOIN")));
-        assert!(!g.has_predicate_object(&Term::iri("p:never"), &Term::lit_str("TBSCAN")));
+        let tbscan = Term::lit_str("TBSCAN");
+        assert!(g.has_match(None, Some(&p("p:hasPopType")), Some(&tbscan)));
+        assert!(!g.has_match(
+            None,
+            Some(&p("p:hasPopType")),
+            Some(&Term::lit_str("HSJOIN"))
+        ));
+        assert!(!g.has_match(None, Some(&p("p:never")), Some(&tbscan)));
+        assert!(g.has_match(Some(&p("q:pop5")), Some(&p("p:hasPopType")), None));
+        assert!(!g.has_match(Some(&p("q:pop2")), Some(&p("p:hasPopType")), Some(&tbscan)));
+        assert!(g.has_match(None, None, None));
+        assert!(!Graph::new().has_match(None, None, None));
     }
 
     #[test]
@@ -632,7 +605,6 @@ mod tests {
             rebuilt.iter_ids().collect::<Vec<_>>(),
             g.iter_ids().collect::<Vec<_>>()
         );
-        assert_eq!(rebuilt.distinct_predicates(), g.distinct_predicates());
         // Blank-node counter carried over: next fresh bnode matches.
         let mut g2 = g.clone();
         let mut r2 = rebuilt;
@@ -652,13 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn predicate_cardinality_counts() {
-        let g = sample();
-        let p = g.term_id(&Term::iri("p:hasPopType")).unwrap();
-        assert_eq!(g.predicate_cardinality(p), 3);
-    }
-
-    #[test]
     fn stats_count_per_predicate_cardinalities() {
         let g = sample();
         let stats = g.stats();
@@ -670,7 +635,8 @@ mod tests {
             assert!(w[0].predicate < w[1].predicate);
         }
         for ps in &stats.predicates {
-            assert_eq!(ps.count, g.predicate_cardinality(ps.predicate));
+            let scan = g.matching_ids(None, Some(ps.predicate), None).count();
+            assert_eq!(ps.count, scan);
         }
 
         // p:hasPopType — 3 triples, 3 subjects, 3 objects: fan-out 1.

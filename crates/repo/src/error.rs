@@ -13,7 +13,8 @@ pub enum RepoError {
         /// The offending path.
         path: String,
     },
-    /// The file declares a format version this build cannot read.
+    /// The file declares a format version this build cannot read, or an
+    /// older one it can read but not append to.
     UnsupportedVersion {
         /// The version byte found in the header.
         found: u8,
@@ -60,8 +61,9 @@ impl fmt::Display for RepoError {
             }
             RepoError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported repository format version {found} (this build reads up to {})",
-                crate::store::FORMAT_VERSION
+                "unsupported repository format version {found} (this build reads versions \
+                 1 to {current} and appends only to version {current})",
+                current = crate::store::FORMAT_VERSION
             ),
             RepoError::Corrupt { detail } => write!(f, "corrupt repository: {detail}"),
             RepoError::Checksum {

@@ -2,12 +2,11 @@
 //!
 //! A repository is a single append-only binary file storing, per QEP:
 //! the interned RDF graph produced by the transform (Algorithm 1 of the
-//! OptImatch paper), the pruning feature summary, the parsed plan, the
-//! source filename, and any ground-truth labels. Opening a repository
-//! skips the plan parse and RDF transform entirely, giving warm-start
-//! sessions; every record is guarded by a CRC-32 so silent on-disk
-//! corruption is detected, named, and — in the lenient mode — skipped
-//! rather than fatal.
+//! OptImatch paper), the parsed plan, the source filename, and any
+//! ground-truth labels. Opening a repository skips the plan parse and
+//! RDF transform entirely, giving warm-start sessions; every record is
+//! guarded by a CRC-32 so silent on-disk corruption is detected, named,
+//! and — in the lenient mode — skipped rather than fatal.
 //!
 //! This crate owns only the storage layer (format, checksums, record
 //! codec). It depends on `optimatch-qep` and `optimatch-rdf` for the
@@ -22,7 +21,7 @@ pub mod vfs;
 pub mod wire;
 
 pub use error::RepoError;
-pub use record::{RepoRecord, StoredSummary};
+pub use record::RepoRecord;
 pub use store::{
     is_repo_file, LenientRepo, RecoveredAppend, RepoStats, RepoWriter, Repository, SkippedRecord,
     VerifyReport, FORMAT_VERSION, MAGIC,

@@ -1,5 +1,5 @@
-//! One repository record: a QEP with its interned RDF graph, feature
-//! summary, source filename, and ground-truth labels.
+//! One repository record: a QEP with its interned RDF graph, source
+//! filename, and ground-truth labels.
 //!
 //! The graph is stored as its term table **in interning order** followed
 //! by the triple list as `[u32; 3]` id triples. Re-interning the terms in
@@ -20,21 +20,6 @@ use optimatch_rdf::{Graph, IdTriple, Literal, Term, TermId};
 
 use crate::wire::{put_f64, put_str, put_strs, put_u32, put_u64, put_u8, Cursor, WireError};
 
-/// The pruning-index summary persisted with each record, mirroring
-/// `optimatch_core::FeatureSummary` field for field (kept as plain sorted
-/// vectors so this crate does not depend on the core crate).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StoredSummary {
-    /// Predicate IRIs asserted in the graph, sorted.
-    pub predicates: Vec<String>,
-    /// `hasPopType` object values, sorted.
-    pub op_types: Vec<String>,
-    /// Number of operators in the plan.
-    pub op_count: u64,
-    /// Largest number of input streams on any single operator.
-    pub max_fan_in: u64,
-}
-
 /// One persisted QEP: everything a warm session needs, no parsing or
 /// transforming required.
 #[derive(Debug, Clone)]
@@ -46,8 +31,6 @@ pub struct RepoRecord {
     pub source_file: String,
     /// Ground-truth pattern labels from the workload manifest, if any.
     pub labels: Vec<String>,
-    /// The pruning summary computed at transform time.
-    pub summary: StoredSummary,
     /// The source plan.
     pub qep: Qep,
     /// The transformed RDF graph.
@@ -337,34 +320,34 @@ fn read_graph(c: &mut Cursor<'_>) -> Result<Graph, WireError> {
 }
 
 impl RepoRecord {
-    /// Encode the record to its payload bytes (checksummed by the store).
+    /// Encode the record to its payload bytes in the current format
+    /// (checksummed by the store).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(4096);
         put_str(&mut buf, &self.id);
         put_str(&mut buf, &self.source_file);
         put_strs(&mut buf, &self.labels);
-        put_strs(&mut buf, &self.summary.predicates);
-        put_strs(&mut buf, &self.summary.op_types);
-        put_u64(&mut buf, self.summary.op_count);
-        put_u64(&mut buf, self.summary.max_fan_in);
         put_qep(&mut buf, &self.qep);
         put_graph(&mut buf, &self.graph);
         buf
     }
 
     /// Decode a record from payload bytes (already CRC-verified by the
-    /// store).
-    pub fn decode(payload: &[u8]) -> Result<RepoRecord, WireError> {
+    /// store) written in format `version`. Version 1 records carry a
+    /// pruning summary (predicates, operator types, operator count, max
+    /// fan-in) after the labels; it is read and discarded, since pruning
+    /// now probes the graph itself.
+    pub fn decode(payload: &[u8], version: u8) -> Result<RepoRecord, WireError> {
         let mut c = Cursor::new(payload);
         let id = c.str("record id")?;
         let source_file = c.str("source file")?;
         let labels = c.strs("labels")?;
-        let summary = StoredSummary {
-            predicates: c.strs("summary predicates")?,
-            op_types: c.strs("summary op types")?,
-            op_count: c.u64("summary op count")?,
-            max_fan_in: c.u64("summary max fan-in")?,
-        };
+        if version == 1 {
+            c.strs("v1 summary predicates")?;
+            c.strs("v1 summary op types")?;
+            c.u64("v1 summary op count")?;
+            c.u64("v1 summary max fan-in")?;
+        }
         let qep = read_qep(&mut c)?;
         let graph = read_graph(&mut c)?;
         if !c.at_end() {
@@ -383,7 +366,6 @@ impl RepoRecord {
             id,
             source_file,
             labels,
-            summary,
             qep,
             graph,
         })
@@ -393,7 +375,29 @@ impl RepoRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::FORMAT_VERSION;
     use optimatch_qep::fixtures;
+
+    fn decode(payload: &[u8]) -> Result<RepoRecord, WireError> {
+        RepoRecord::decode(payload, FORMAT_VERSION)
+    }
+
+    /// The version-1 payload of `rec`: its current encoding with a
+    /// pruning summary (predicates, operator types, operator count, max
+    /// fan-in) after the labels, where the version-1 writer put it.
+    fn v1_payload(rec: &RepoRecord) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_str(&mut buf, &rec.id);
+        put_str(&mut buf, &rec.source_file);
+        put_strs(&mut buf, &rec.labels);
+        put_strs(&mut buf, &["http://x/p".to_string()]);
+        put_strs(&mut buf, &["HSJOIN".to_string(), "TBSCAN".to_string()]);
+        put_u64(&mut buf, rec.qep.op_count() as u64);
+        put_u64(&mut buf, 2);
+        put_qep(&mut buf, &rec.qep);
+        put_graph(&mut buf, &rec.graph);
+        buf
+    }
 
     /// A graph with every term kind, built with a deliberately non-sorted
     /// interning order.
@@ -429,12 +433,6 @@ mod tests {
             id: qep.id.clone(),
             source_file: "fig7.qep".into(),
             labels: vec!["pattern-b-loj-join-order".into()],
-            summary: StoredSummary {
-                predicates: vec!["http://x/p".into(), "http://x/q".into()],
-                op_types: vec!["HSJOIN".into(), "TBSCAN".into()],
-                op_count: qep.op_count() as u64,
-                max_fan_in: 2,
-            },
             qep,
             graph: sample_graph(),
         }
@@ -443,11 +441,10 @@ mod tests {
     #[test]
     fn record_round_trips_exactly() {
         let rec = sample_record();
-        let back = RepoRecord::decode(&rec.encode()).unwrap();
+        let back = decode(&rec.encode()).unwrap();
         assert_eq!(back.id, rec.id);
         assert_eq!(back.source_file, rec.source_file);
         assert_eq!(back.labels, rec.labels);
-        assert_eq!(back.summary, rec.summary);
         assert_eq!(back.qep, rec.qep);
         // The restored graph must match triple for triple *and* id for id
         // (interning order is part of the contract).
@@ -465,13 +462,36 @@ mod tests {
     }
 
     #[test]
+    fn v1_payload_decodes_to_the_v2_record() {
+        let rec = sample_record();
+        let v1 = RepoRecord::decode(&v1_payload(&rec), 1).unwrap();
+        let v2 = decode(&rec.encode()).unwrap();
+        assert_eq!(
+            (&v1.id, &v1.source_file, &v1.labels),
+            (&v2.id, &v2.source_file, &v2.labels)
+        );
+        assert_eq!(v1.qep, v2.qep);
+        assert_eq!(
+            v1.graph.iter_ids().collect::<Vec<_>>(),
+            v2.graph.iter_ids().collect::<Vec<_>>()
+        );
+        assert_eq!(v1.graph.pool().len(), v2.graph.pool().len());
+        // Re-encoding a v1 record writes the v2 layout.
+        assert_eq!(v1.encode(), rec.encode());
+        // The layouts differ, so a payload decoded under the wrong
+        // version is an error, never a silently different record.
+        assert!(decode(&v1_payload(&rec)).is_err());
+        assert!(RepoRecord::decode(&rec.encode(), 1).is_err());
+    }
+
+    #[test]
     fn floats_round_trip_bit_exactly() {
         let mut rec = sample_record();
         let op = rec.qep.ops.values_mut().next().unwrap();
         op.total_cost = 0.1 + 0.2; // not representable in short decimal
         op.cardinality = f64::MIN_POSITIVE;
         rec.id = rec.qep.id.clone();
-        let back = RepoRecord::decode(&rec.encode()).unwrap();
+        let back = decode(&rec.encode()).unwrap();
         let bop = back.qep.ops.values().next().unwrap();
         assert_eq!(bop.total_cost.to_bits(), (0.1f64 + 0.2).to_bits());
         assert_eq!(bop.cardinality.to_bits(), f64::MIN_POSITIVE.to_bits());
@@ -484,11 +504,10 @@ mod tests {
                 id: qep.id.clone(),
                 source_file: format!("{}.qep", qep.id),
                 labels: Vec::new(),
-                summary: StoredSummary::default(),
                 qep,
                 graph: Graph::new(),
             };
-            let back = RepoRecord::decode(&rec.encode()).unwrap();
+            let back = decode(&rec.encode()).unwrap();
             assert_eq!(back.qep, rec.qep);
         }
     }
@@ -498,12 +517,12 @@ mod tests {
         let rec = sample_record();
         let mut bytes = rec.encode();
         bytes.push(0);
-        let err = RepoRecord::decode(&bytes).unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
 
         let mut other = rec.clone();
         other.id = "someone-else".into();
-        let err = RepoRecord::decode(&other.encode()).unwrap_err();
+        let err = decode(&other.encode()).unwrap_err();
         assert!(err.to_string().contains("does not match"), "{err}");
     }
 
@@ -513,7 +532,7 @@ mod tests {
         let good = rec.encode();
         // Truncations at every prefix must error, never panic.
         for cut in 0..good.len().min(64) {
-            assert!(RepoRecord::decode(&good[..cut]).is_err(), "cut at {cut}");
+            assert!(decode(&good[..cut]).is_err(), "cut at {cut}");
         }
     }
 }

@@ -49,9 +49,10 @@ use crate::RepoError;
 
 /// The 8-byte file magic every repository starts with.
 pub const MAGIC: &[u8; 8] = b"OPTIREPO";
-/// The current format version. Readers reject anything newer; older
-/// versions would be migrated here once they exist.
-pub const FORMAT_VERSION: u8 = 1;
+/// The current format version: the only one written and appended to.
+/// Readers also decode version 1 (whose records carry a since-removed
+/// pruning summary) and reject anything newer.
+pub const FORMAT_VERSION: u8 = 2;
 
 const END_MAGIC: &[u8; 8] = b"OPTI-END";
 const RECORD_MAGIC: &[u8; 2] = b"QR";
@@ -306,12 +307,13 @@ fn segment_payload<'d>(
 
 fn decode_entry(
     data: &[u8],
+    version: u8,
     entry: &IndexEntry,
     index: usize,
     limit: usize,
 ) -> Result<RepoRecord, RepoError> {
     let payload = segment_payload(data, entry, index, limit)?;
-    let record = RepoRecord::decode(payload).map_err(|e| RepoError::Decode {
+    let record = RepoRecord::decode(payload, version).map_err(|e| RepoError::Decode {
         index,
         id: entry.id.clone(),
         detail: e.to_string(),
@@ -352,7 +354,7 @@ impl Repository {
             read_footer(&data).map_err(|detail| RepoError::Corrupt { detail })?;
         let mut records = Vec::with_capacity(entries.len());
         for (index, entry) in entries.iter().enumerate() {
-            records.push(decode_entry(&data, entry, index, footer_offset)?);
+            records.push(decode_entry(&data, version, entry, index, footer_offset)?);
         }
         Ok(Repository {
             version,
@@ -388,12 +390,12 @@ impl Repository {
                          recovering records by sequential scan"
                     .into(),
             });
-            sequential_scan(&data, &mut records, &mut skipped);
+            sequential_scan(&data, version, &mut records, &mut skipped);
         } else {
             match read_footer(&data) {
                 Ok((footer_offset, entries)) => {
                     for (index, entry) in entries.iter().enumerate() {
-                        match decode_entry(&data, entry, index, footer_offset) {
+                        match decode_entry(&data, version, entry, index, footer_offset) {
                             Ok(r) => records.push(r),
                             Err(e) => skipped.push(SkippedRecord {
                                 index: Some(index),
@@ -409,7 +411,7 @@ impl Repository {
                         id: None,
                         reason: format!("{reason}; recovering records by sequential scan"),
                     });
-                    sequential_scan(&data, &mut records, &mut skipped);
+                    sequential_scan(&data, version, &mut records, &mut skipped);
                 }
             }
         }
@@ -457,7 +459,7 @@ impl Repository {
                         ));
                     }
                     expected_offset = entry.offset + (FRAME_LEN as u64) + u64::from(entry.len);
-                    match decode_entry(&data, entry, index, footer_offset) {
+                    match decode_entry(&data, version, entry, index, footer_offset) {
                         Ok(_) => report.records += 1,
                         Err(e) => report.problems.push(e.to_string()),
                     }
@@ -544,6 +546,7 @@ fn append_impl(
 ) -> Result<usize, RepoError> {
     let data = vfs.read(path)?;
     let version = check_header(&data, path)?;
+    // Older files stay read-only: appending would mix record layouts.
     if version != FORMAT_VERSION {
         return Err(RepoError::UnsupportedVersion { found: version });
     }
@@ -677,7 +680,7 @@ fn recover_torn_append(
         let decoded: Result<Vec<RepoRecord>, RepoError> = entries
             .iter()
             .enumerate()
-            .map(|(index, entry)| decode_entry(data, entry, index, footer_offset))
+            .map(|(index, entry)| decode_entry(data, version, entry, index, footer_offset))
             .collect();
         if let Ok(records) = decoded {
             let _ = clear_append_flag(vfs, path);
@@ -708,7 +711,7 @@ fn recover_torn_append(
         if crc32(payload) != crc {
             break;
         }
-        let Ok(record) = RepoRecord::decode(payload) else {
+        let Ok(record) = RepoRecord::decode(payload, version) else {
             break;
         };
         entries.push(IndexEntry {
@@ -774,7 +777,12 @@ fn write_atomically(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> Result<(), Repo
 
 /// Footer-less recovery: walk self-delimiting segments forward from the
 /// header, keeping every record whose CRC and decode succeed.
-fn sequential_scan(data: &[u8], records: &mut Vec<RepoRecord>, skipped: &mut Vec<SkippedRecord>) {
+fn sequential_scan(
+    data: &[u8],
+    version: u8,
+    records: &mut Vec<RepoRecord>,
+    skipped: &mut Vec<SkippedRecord>,
+) {
     let mut pos = HEADER_LEN;
     let mut index = 0usize;
     loop {
@@ -820,7 +828,7 @@ fn sequential_scan(data: &[u8], records: &mut Vec<RepoRecord>, skipped: &mut Vec
                 reason: format!("CRC mismatch (stored {crc:08x}, computed {computed:08x})"),
             });
         } else {
-            match RepoRecord::decode(payload) {
+            match RepoRecord::decode(payload, version) {
                 Ok(r) => records.push(r),
                 Err(e) => skipped.push(SkippedRecord {
                     index: Some(index),
@@ -837,7 +845,6 @@ fn sequential_scan(data: &[u8], records: &mut Vec<RepoRecord>, skipped: &mut Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::StoredSummary;
     use optimatch_qep::fixtures;
     use optimatch_rdf::{Graph, Term};
 
@@ -854,12 +861,6 @@ mod tests {
             id: id.to_string(),
             source_file: format!("{id}.qep"),
             labels: vec![format!("label-of-{id}")],
-            summary: StoredSummary {
-                predicates: vec!["http://x/hasPopType".into()],
-                op_types: vec!["TBSCAN".into()],
-                op_count: qep.op_count() as u64,
-                max_fan_in: 1,
-            },
             qep,
             graph,
         }

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use optimatch_qep::fixtures;
 use optimatch_rdf::{Graph, Term};
 use optimatch_repo::vfs::SimFs;
-use optimatch_repo::{RepoError, RepoRecord, Repository, StoredSummary};
+use optimatch_repo::{RepoError, RepoRecord, Repository};
 
 fn record(id: &str, qep: optimatch_qep::Qep) -> RepoRecord {
     let mut qep = qep;
@@ -29,7 +29,6 @@ fn record(id: &str, qep: optimatch_qep::Qep) -> RepoRecord {
         id: id.to_string(),
         source_file: format!("{id}.qep"),
         labels: Vec::new(),
-        summary: StoredSummary::default(),
         qep,
         graph,
     }

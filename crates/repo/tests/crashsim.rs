@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 use optimatch_qep::fixtures;
 use optimatch_rdf::{Graph, Term};
 use optimatch_repo::vfs::{crash_images, SimFs, TraceOp};
-use optimatch_repo::{RepoRecord, Repository, StoredSummary};
+use optimatch_repo::{RepoRecord, Repository};
 
 fn record(id: &str, qep: optimatch_qep::Qep) -> RepoRecord {
     let mut qep = qep;
@@ -48,7 +48,6 @@ fn record(id: &str, qep: optimatch_qep::Qep) -> RepoRecord {
         id: id.to_string(),
         source_file: format!("{id}.qep"),
         labels: Vec::new(),
-        summary: StoredSummary::default(),
         qep,
         graph,
     }

@@ -12,7 +12,7 @@ use optimatch_qep::fixtures;
 use optimatch_rdf::{Graph, Term};
 use optimatch_repo::vfs::SimFs;
 use optimatch_repo::wire::Cursor;
-use optimatch_repo::{RepoRecord, Repository, StoredSummary};
+use optimatch_repo::{RepoRecord, Repository};
 
 fn record(id: &str, qep: optimatch_qep::Qep) -> RepoRecord {
     let mut qep = qep;
@@ -27,7 +27,6 @@ fn record(id: &str, qep: optimatch_qep::Qep) -> RepoRecord {
         id: id.to_string(),
         source_file: format!("{id}.qep"),
         labels: vec!["label-a".to_string()],
-        summary: StoredSummary::default(),
         qep,
         graph,
     }
@@ -139,7 +138,9 @@ proptest! {
     /// CRC-verified payloads.
     #[test]
     fn record_decode_is_total(payload in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = RepoRecord::decode(&payload);
+        for version in 1..=optimatch_repo::FORMAT_VERSION {
+            let _ = RepoRecord::decode(&payload, version);
+        }
     }
 
     /// Why the store checks the CRC *before* decoding: a flipped bit in

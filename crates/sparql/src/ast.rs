@@ -269,7 +269,7 @@ impl Path {
     /// True when the path admits a zero-length traversal (`p*`, `p?`, and
     /// combinations thereof) — such a path can match without touching any
     /// triple at all.
-    pub fn can_match_empty(&self) -> bool {
+    pub(crate) fn can_match_empty(&self) -> bool {
         match self {
             Path::Iri(_) | Path::Var(_) | Path::OneOrMore(_) => false,
             Path::ZeroOrMore(_) | Path::ZeroOrOne(_) => true,
@@ -284,7 +284,7 @@ impl Path {
     /// branch may be taken), and `p*` / `p?` contribute nothing (zero
     /// traversals are allowed). `p+` requires at least one traversal of
     /// `p`, so `p`'s required predicates carry through.
-    pub fn required_iris(&self, out: &mut std::collections::BTreeSet<String>) {
+    pub(crate) fn required_iris(&self, out: &mut std::collections::BTreeSet<String>) {
         match self {
             Path::Iri(i) => {
                 out.insert(i.clone());
@@ -300,7 +300,7 @@ impl Path {
 
     /// Collect every predicate IRI mentioned anywhere in the path,
     /// including optional and alternative branches.
-    pub fn all_iris(&self, out: &mut std::collections::BTreeSet<String>) {
+    pub(crate) fn all_iris(&self, out: &mut std::collections::BTreeSet<String>) {
         match self {
             Path::Iri(i) => {
                 out.insert(i.clone());

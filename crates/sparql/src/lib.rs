@@ -54,7 +54,7 @@ pub mod results;
 
 pub use budget::{Budget, BudgetCause};
 pub use error::SparqlError;
-pub use plan::{EvalStats, PathDirection, PhysicalPlan, PlanOptions, PlanStep};
+pub use plan::{EvalStats, PathDirection, PhysicalPlan, PlanOptions, PlanStep, RequiredPatterns};
 pub use results::ResultTable;
 
 use optimatch_rdf::Graph;

@@ -27,14 +27,20 @@
 //! would make (they depend only on the statistics and the bound-variable
 //! flags, never on row contents) and renders them as an `EXPLAIN`-style
 //! [`PhysicalPlan`].
+//!
+//! [`RequiredPatterns`] answers the cheaper question before any of that:
+//! can the query have a solution on this graph at all? A few index probes
+//! for its required triple patterns prove most (query, graph) pairs empty
+//! without planning or evaluating anything.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 use optimatch_rdf::{Graph, GraphStats, IndexChoice, Term};
 
 use crate::algebra::{Node, Plan, PlanNodePattern, TriplePlan};
-use crate::ast::Path;
+use crate::ast::{Expression, NodePattern, Path, Query, SelectItem};
 
 /// Evaluation-planning switches, threaded from `ScanOptions` down to the
 /// BGP evaluator. `optimize: false` is the correctness oracle: source-order
@@ -360,6 +366,107 @@ pub fn recursive_frontier_estimate(path: &Path) -> u64 {
         Path::ZeroOrMore(p) | Path::OneOrMore(p) => {
             branching(p).max(recursive_frontier_estimate(p))
         }
+    }
+}
+
+/// The index probes a graph must answer before a query can have any
+/// solution on it: the planner's "a required pattern has no matching
+/// triple" decision, taken per (query, graph) pair without evaluating.
+///
+/// Sound by the mandatory-pattern argument of Pérez et al. (*Semantics
+/// and Complexity of SPARQL*): every solution maps each triple pattern
+/// outside `OPTIONAL`, `UNION`, `FILTER` and `BIND` into the graph, so a
+/// required pattern with no matching triple empties the whole result.
+/// Each [`GroupGraphPattern::required_triples`] member contributes:
+///
+/// * with a plain IRI predicate, one probe that also binds a constant IRI
+///   or literal subject or object (variables and blank nodes stay
+///   wildcards);
+/// * with a complex path, the IRIs every traversal must use
+///   (`a/b+` needs `a` and `b`);
+/// * with a path that cannot match empty yet has no such IRI (`(a|b|c)+`),
+///   one clause needing at least one of its IRIs.
+///
+/// Constant-bound probes run first, since they fail most often, and a
+/// clause another clause already implies is dropped. A query that
+/// aggregates over the implicit single group requires nothing.
+///
+/// [`GroupGraphPattern::required_triples`]: crate::ast::GroupGraphPattern::required_triples
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RequiredPatterns {
+    /// A conjunction of clauses, each a disjunction of `(subject,
+    /// predicate, object)` probes; `None` is a wildcard.
+    clauses: Vec<Vec<[Option<Term>; 3]>>,
+}
+
+impl RequiredPatterns {
+    /// Derive the probe set of a parsed query.
+    pub fn of(query: &Query) -> RequiredPatterns {
+        // An aggregate over the implicit single group yields a row even
+        // from no solutions (`COUNT(*)` is 0), so nothing is required.
+        let implicit_group = query.group_by.is_empty()
+            && query.select.iter().any(|item| {
+                matches!(
+                    item,
+                    SelectItem::Expression {
+                        expr: Expression::Aggregate(..),
+                        ..
+                    }
+                )
+            });
+        if implicit_group {
+            return RequiredPatterns::default();
+        }
+        let constant = |n: &NodePattern| match n {
+            NodePattern::Term(t) if !t.is_blank() => Some(t.clone()),
+            _ => None,
+        };
+        let bare = |iri: &String| vec![[None, Some(Term::iri(iri.as_str())), None]];
+        let mut clauses: Vec<Vec<[Option<Term>; 3]>> = Vec::new();
+        let (mut predicates, mut bound_predicates) = (BTreeSet::new(), BTreeSet::new());
+        let mut any_of = BTreeSet::new();
+        for triple in query.where_clause.required_triples() {
+            let path = &triple.path;
+            let mut required = BTreeSet::new();
+            path.required_iris(&mut required);
+            if let Some(iri) = path.as_plain_iri() {
+                let probe = [
+                    constant(&triple.subject),
+                    Some(Term::iri(iri)),
+                    constant(&triple.object),
+                ];
+                if probe[0].is_some() || probe[2].is_some() {
+                    bound_predicates.insert(iri.to_string());
+                    if clauses.iter().all(|clause| clause[0] != probe) {
+                        clauses.push(vec![probe]);
+                    }
+                }
+            } else if required.is_empty() && !path.can_match_empty() {
+                let mut all = BTreeSet::new();
+                path.all_iris(&mut all);
+                if !all.is_empty() {
+                    any_of.insert(all);
+                }
+            }
+            predicates.extend(required);
+        }
+        // Bound probes first; then the predicates they do not imply; then
+        // the alternations no required predicate already satisfies.
+        clauses.extend(predicates.difference(&bound_predicates).map(bare));
+        for set in any_of.iter().filter(|set| set.is_disjoint(&predicates)) {
+            clauses.push(set.iter().flat_map(bare).collect());
+        }
+        RequiredPatterns { clauses }
+    }
+
+    /// True when the graph could hold a solution. `false` is a proof that
+    /// the query has none on this graph; `true` means "evaluate".
+    pub fn may_match(&self, graph: &Graph) -> bool {
+        self.clauses.iter().all(|clause| {
+            clause
+                .iter()
+                .any(|[s, p, o]| graph.has_match(s.as_ref(), p.as_ref(), o.as_ref()))
+        })
     }
 }
 
@@ -758,6 +865,85 @@ mod tests {
         assert_eq!(recursive_frontier_estimate(&path_of(&three)), 3);
         // No closure operator ⇒ no frontier at all.
         assert_eq!(recursive_frontier_estimate(&path_of(&flat)), 0);
+    }
+
+    fn required(q: &str) -> RequiredPatterns {
+        RequiredPatterns::of(&parse(&format!("{PFX}{q}")).unwrap())
+    }
+
+    #[test]
+    fn required_patterns_probe_constants_and_predicates() {
+        let g = fig1_graph();
+        let may = |q: &str| required(q).may_match(&g);
+        assert!(may("SELECT ?a WHERE { ?a p:hasPopType \"NLJOIN\" . }"));
+        assert!(!may("SELECT ?a WHERE { ?a p:hasPopType \"SORT\" . }"));
+        assert!(!may("SELECT ?a WHERE { ?a p:neverSeen ?b . }"));
+        // A constant IRI subject is bound too: pop3 has no cardinality.
+        let pop = |n: u32| format!("<http://optimatch/qep#pop{n}>");
+        assert!(may(&format!(
+            "SELECT ?c WHERE {{ {} p:hasEstimateCardinality ?c . }}",
+            pop(5)
+        )));
+        assert!(!may(&format!(
+            "SELECT ?c WHERE {{ {} p:hasEstimateCardinality ?c . }}",
+            pop(3)
+        )));
+        // An implicit-group aggregate has a row even without solutions;
+        // with GROUP BY, no solutions means no groups and no rows.
+        assert!(may("SELECT (COUNT(*) AS ?n) WHERE { ?a p:neverSeen ?b . }"));
+        assert!(!may(
+            "SELECT ?b (COUNT(*) AS ?n) WHERE { ?a p:neverSeen ?b . } GROUP BY ?b"
+        ));
+        // Nothing behind OPTIONAL, UNION or FILTER is required.
+        assert!(may("SELECT ?a WHERE { ?a p:hasPopType ?t . \
+               OPTIONAL { ?a p:neverSeen ?x . } \
+               { ?a p:neverSeen ?y . } UNION { ?a p:hasPopType ?y . } \
+               FILTER NOT EXISTS { ?a p:neverSeen ?z . } }"));
+    }
+
+    #[test]
+    fn variables_and_blank_nodes_are_never_probed_as_constants() {
+        let g = fig1_graph();
+        // Each query's only constant-looking endpoint is a variable or a
+        // blank node, which matches any term: all of them may match.
+        for q in [
+            "SELECT ?a WHERE { ?a p:hasPopType ?t . }",
+            "SELECT ?t WHERE { _:b p:hasPopType ?t . }",
+            "SELECT ?a WHERE { ?a p:hasOuterInputStream _:child . }",
+            "SELECT * WHERE { _:x p:hasInputStream _:y . }",
+        ] {
+            assert_eq!(required(q).clauses.len(), 1, "{q}");
+            assert!(required(q).clauses[0][0][0].is_none(), "{q}");
+            assert!(required(q).clauses[0][0][2].is_none(), "{q}");
+            assert!(required(q).may_match(&g), "{q}");
+        }
+    }
+
+    #[test]
+    fn paths_require_their_mandatory_iris() {
+        let g = fig1_graph();
+        let may = |q: &str| required(q).may_match(&g);
+        // a/b+ needs both a and b; a* can match empty and needs nothing.
+        assert!(may(
+            "SELECT ?a WHERE { ?a p:hasOuterInputStream/p:hasInputStream+ ?b . }"
+        ));
+        assert!(!may(
+            "SELECT ?a WHERE { ?a p:hasOuterInputStream/p:neverSeen+ ?b . }"
+        ));
+        assert!(may("SELECT ?a WHERE { ?a p:neverSeen* ?b . }"));
+        // An alternation needs at least one of its branches present.
+        let any = "SELECT ?a WHERE { ?a (p:neverSeen|p:hasInputStream)+ ?b . }";
+        assert!(may(any));
+        let mut no_streams = Graph::new();
+        no_streams.insert(
+            Term::iri("http://optimatch/qep#pop1"),
+            Term::iri("http://optimatch/pred#hasPopType"),
+            Term::lit_str("RETURN"),
+        );
+        assert!(!required(any).may_match(&no_streams));
+        // A bare predicate probe that a bound probe implies is dropped.
+        let q = "SELECT ?a WHERE { ?a p:hasPopType ?t . ?a p:hasPopType \"TBSCAN\" . }";
+        assert_eq!(required(q).clauses.len(), 1);
     }
 
     #[test]

@@ -1,0 +1,103 @@
+//! Repository format compatibility. `tests/data/fixtures-v1.optirepo` was
+//! written by a format-version-1 `optimatch repo build` over the
+//! `format_qep` renderings of fixtures fig1, fig7 and fig8, with a
+//! manifest labelling fig1 and fig7. Version-1 records carry a pruning
+//! summary that the current format dropped; the file must still open,
+//! verify and scan exactly like its plans, and must refuse appends.
+
+use std::path::{Path, PathBuf};
+
+use optimatch_suite::core::{builtin, repo, OpenOptions, OptImatch, ScanOptions, Source};
+use optimatch_suite::qep::{fixtures, format_qep};
+use optimatch_suite::repo::{RepoError, Repository, FORMAT_VERSION};
+
+fn v1_repo() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/fixtures-v1.optirepo")
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("optimatch-compat-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// The plan directory the v1 file was built from.
+fn fixture_dir(tag: &str) -> PathBuf {
+    let dir = temp_dir(tag);
+    for q in [fixtures::fig1(), fixtures::fig7(), fixtures::fig8()] {
+        std::fs::write(dir.join(format!("{}.qep", q.id)), format_qep(&q)).expect("writes");
+    }
+    dir
+}
+
+fn scan_json(source: Source) -> Vec<String> {
+    let session = OptImatch::open(source, OpenOptions::new())
+        .expect("opens")
+        .session;
+    [builtin::paper_kb(), builtin::extended_kb()]
+        .iter()
+        .map(|kb| {
+            let outcome = session
+                .scan_with(kb, ScanOptions::default())
+                .expect("scans");
+            outcome.render_json()
+        })
+        .collect()
+}
+
+#[test]
+fn v1_repository_opens_verifies_and_scans_like_its_plans() {
+    let path = v1_repo();
+    let strict = Repository::open(&path).expect("strict open");
+    assert_eq!(strict.version, 1);
+    let ids: Vec<&str> = strict.records.iter().map(|r| r.id.as_str()).collect();
+    assert_eq!(ids, ["fig1", "fig7", "fig8"]);
+    assert_eq!(strict.records[1].labels, ["Pattern B", "Pattern C"]);
+    assert_eq!(strict.records[0].qep, fixtures::fig1());
+
+    let lenient = Repository::open_lenient(&path).expect("lenient open");
+    assert!(lenient.skipped.is_empty(), "{:?}", lenient.skipped);
+    assert_eq!(lenient.repository.records.len(), 3);
+
+    let report = Repository::verify(&path).expect("verifies");
+    assert!(report.is_ok(), "{:?}", report.problems);
+    assert_eq!((report.version, report.records), (1, 3));
+
+    // Byte-identical scan JSON from the v1 file, the plan directory and a
+    // freshly built current-format repository, with both KBs.
+    let dir = fixture_dir("scan");
+    let v2 = dir.join("fixtures.optirepo");
+    repo::build_repo(&dir, &v2).expect("builds");
+    assert_eq!(
+        Repository::open(&v2).expect("opens").version,
+        FORMAT_VERSION
+    );
+    let from_dir = scan_json(Source::Dir(dir.clone()));
+    assert_eq!(scan_json(Source::Repo(path)), from_dir);
+    assert_eq!(scan_json(Source::Repo(v2)), from_dir);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn v1_repository_refuses_appends_and_stays_untouched() {
+    let dir = temp_dir("append");
+    let copy = dir.join("v1.optirepo");
+    std::fs::copy(v1_repo(), &copy).expect("copies");
+    let before = std::fs::read(&copy).expect("reads");
+
+    let mut extra = fixtures::fig1();
+    extra.id = "fig1b".into();
+    let t = optimatch_suite::core::TransformedQep::new(extra);
+    let err = Repository::append(&copy, &[repo::snapshot(&t, "fig1b.qep", Vec::new())])
+        .expect_err("v1 files are read-only");
+    assert!(
+        matches!(err, RepoError::UnsupportedVersion { found: 1 }),
+        "{err}"
+    );
+    let message = err.to_string();
+    assert!(message.contains("reads versions 1 to 2"), "{message}");
+    assert!(message.contains("appends only to version 2"), "{message}");
+    assert_eq!(std::fs::read(&copy).expect("reads"), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
