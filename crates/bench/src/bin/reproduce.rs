@@ -2,18 +2,21 @@
 //! evaluation (§3) and print them in paper-comparable form.
 //!
 //! ```text
-//! reproduce [fig9|fig10|fig11|fig12|table1|all|check] [--quick]
+//! reproduce [fig9|fig10|fig11|fig12|table1|ablation|all|check] [--quick]
 //! ```
 //!
-//! * `fig9`   — search time vs. workload size (100..1000 QEPs × 3 patterns)
-//! * `fig10`  — per-QEP time vs. LOLEPOP bucket
-//! * `fig11`  — KB-scan time vs. number of recommendations (1/10/100/250)
-//! * `fig12`  — user study: manual (simulated) vs. OptImatch wall time
-//! * `table1` — manual-search precision vs. the tool's
-//! * `check`  — run scaled-down experiments and FAIL (exit 1) unless every
+//! * `fig9`     — search time vs. workload size (100..1000 QEPs × 3 patterns)
+//! * `fig10`    — per-QEP time vs. LOLEPOP bucket
+//! * `fig11`    — KB-scan time vs. number of recommendations (1/10/100/250)
+//! * `fig12`    — user study: manual (simulated) vs. OptImatch wall time
+//! * `table1`   — manual-search precision vs. the tool's
+//! * `ablation` — greedy vs. source-order SPARQL planning per built-in
+//!   pattern; asserts both orders find the same matches
+//! * `check`    — run scaled-down experiments and FAIL (exit 1) unless every
 //!   shape criterion from EXPERIMENTS.md holds: a reproduction gate for CI
 //!
-//! `--quick` shrinks workload sizes ~10× for smoke runs.
+//! `--quick` shrinks workload sizes ~10× for smoke runs (`ablation` always
+//! runs at its one size).
 
 use std::time::{Duration, Instant};
 
@@ -46,6 +49,7 @@ fn main() {
         "fig11" => fig11(quick),
         "fig12" => fig12(),
         "table1" => table1(),
+        "ablation" => ablation(),
         "check" => check(),
         "all" => {
             fig9(quick);
@@ -53,9 +57,12 @@ fn main() {
             fig11(quick);
             fig12();
             table1();
+            ablation();
         }
         other => {
-            eprintln!("unknown experiment {other:?}; use fig9|fig10|fig11|fig12|table1|all");
+            eprintln!(
+                "unknown experiment {other:?}; use fig9|fig10|fig11|fig12|table1|ablation|all|check"
+            );
             std::process::exit(2);
         }
     }
@@ -479,6 +486,65 @@ fn table1() {
     println!();
 }
 
+/// Planner ablation: each built-in pattern searched across 50 paper-shaped
+/// QEPs with pruning off, best of 3 with the planner on (greedy
+/// most-selective-first order, guided property paths) and off (source
+/// order). Both orders must find the same matches. Recursive patterns —
+/// descendant relationships compile to property-path closures — are the
+/// case the guided planner exists for.
+fn ablation() {
+    println!("## Ablation — greedy vs. source-order SPARQL planning");
+    println!();
+    let w = paper_workload(50);
+    let (transformed, _) = transform_all(&w);
+    let best_of_3 = |matcher: &Matcher, optimize: bool| {
+        let options = ScanOptions::default().prune(false).optimize(optimize);
+        let mut best = Duration::MAX;
+        let mut matches = Vec::new();
+        for _ in 0..3 {
+            let start = Instant::now();
+            let outcome = matcher
+                .search_workload(&transformed, &options)
+                .expect("matches");
+            best = best.min(start.elapsed());
+            matches = outcome.matches;
+        }
+        // Order-insensitive: the planner may permute rows.
+        let mut keys: Vec<String> = matches.iter().map(|m| format!("{m:?}")).collect();
+        keys.sort();
+        (best, keys)
+    };
+
+    println!("| Pattern | source order | greedy | speedup | shape |");
+    println!("|---|---|---|---|---|");
+    let mut best_recursive = 0.0f64;
+    for entry in builtin::paper_entries() {
+        let matcher = Matcher::compile(&entry.pattern).expect("compiles");
+        let (source_time, source_matches) = best_of_3(&matcher, false);
+        let (greedy_time, greedy_matches) = best_of_3(&matcher, true);
+        assert_eq!(
+            source_matches, greedy_matches,
+            "the planner must not change {} matches",
+            entry.name
+        );
+        let speedup = source_time.as_secs_f64() / greedy_time.as_secs_f64();
+        let recursive = entry.pattern.is_recursive();
+        if recursive {
+            best_recursive = best_recursive.max(speedup);
+        }
+        println!(
+            "| {} | {} | {} | {speedup:.2}x | {} |",
+            pattern_label(&entry.name),
+            fmt_dur(source_time),
+            fmt_dur(greedy_time),
+            if recursive { "recursive" } else { "flat" }
+        );
+    }
+    println!();
+    println!("best recursive speedup: {best_recursive:.2}x");
+    println!();
+}
+
 fn pattern_number(p: PatternId) -> usize {
     match p {
         PatternId::A => 1,
@@ -493,6 +559,7 @@ fn pattern_label(name: &str) -> String {
         "pattern-a-nljoin-tbscan" => "Pattern #1 (A)".to_string(),
         "pattern-b-loj-join-order" => "Pattern #2 (B)".to_string(),
         "pattern-c-cardinality-collapse" => "Pattern #3 (C)".to_string(),
+        "pattern-d-sort-spill" => "Pattern #4 (D)".to_string(),
         other => other.to_string(),
     }
 }

@@ -1,9 +1,11 @@
-//! Shared helpers for the OptImatch benchmark harness: workload
-//! construction and the measurement loops each figure re-uses.
+//! Shared helpers for the OptImatch reproduction harness (`reproduce`)
+//! and for `perfbench/`: the seeded paper workload, its transformation,
+//! the prunable filler plans, and the linear fit behind the paper's
+//! scaling claims.
 
 use std::time::{Duration, Instant};
 
-use optimatch_core::{KnowledgeBase, Matcher, ScanOptions, TransformedQep};
+use optimatch_core::TransformedQep;
 use optimatch_workload::{
     generate_workload, GeneratorConfig, InjectionConfig, Workload, WorkloadConfig,
 };
@@ -29,25 +31,6 @@ pub fn transform_all(w: &Workload) -> (Vec<TransformedQep>, Duration) {
     let start = Instant::now();
     let ts = w.qeps.iter().cloned().map(TransformedQep::new).collect();
     (ts, start.elapsed())
-}
-
-/// Time a full pattern search over a transformed workload.
-pub fn time_search(matcher: &Matcher, workload: &[TransformedQep]) -> (usize, Duration) {
-    let start = Instant::now();
-    let outcome = matcher
-        .search_workload(workload, &ScanOptions::default().fail_fast(true))
-        .expect("benchmark patterns are valid");
-    (outcome.qep_ids().len(), start.elapsed())
-}
-
-/// Time a knowledge-base scan over a transformed workload.
-pub fn time_kb_scan(kb: &KnowledgeBase, workload: &[TransformedQep]) -> Duration {
-    let start = Instant::now();
-    let outcome = kb
-        .scan_workload_with(workload, ScanOptions::default())
-        .expect("KB scans are valid");
-    assert_eq!(outcome.reports.len(), workload.len());
-    start.elapsed()
 }
 
 /// A plan no built-in KB pattern can match, but which is expensive to
@@ -128,7 +111,7 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optimatch_core::{builtin, PruneStats};
+    use optimatch_core::{builtin, KnowledgeBase, PruneStats, ScanOptions};
 
     #[test]
     fn linear_fit_exact_line() {
@@ -178,21 +161,5 @@ mod tests {
         };
         assert_eq!(stats(builtin::paper_kb()), expected(96, 58, 38, 10));
         assert_eq!(stats(builtin::extended_kb()), expected(168, 82, 86, 12));
-    }
-
-    #[test]
-    fn time_helpers_produce_counts() {
-        let w = paper_workload(10);
-        let (ts, transform_time) = transform_all(&w);
-        assert_eq!(ts.len(), 10);
-        assert!(transform_time.as_nanos() > 0);
-        let matcher =
-            optimatch_core::Matcher::compile(&optimatch_core::builtin::pattern_a().pattern)
-                .expect("compiles");
-        let (hits, search_time) = time_search(&matcher, &ts);
-        assert!(hits <= 10);
-        assert!(search_time.as_nanos() > 0);
-        let kb = optimatch_core::builtin::paper_kb();
-        assert!(time_kb_scan(&kb, &ts).as_nanos() > 0);
     }
 }

@@ -738,14 +738,6 @@ impl KnowledgeBase {
         crate::lint::lint_entries(&self.entries)
     }
 
-    /// [`KnowledgeBase::lint`] plus dead-pattern detection: entries no
-    /// QEP in `workload` could ever satisfy are reported as `OL203`.
-    pub fn lint_with_workload(&self, workload: &[TransformedQep]) -> Vec<crate::lint::Diagnostic> {
-        let mut out = self.lint();
-        out.extend(crate::lint::lint_dead_patterns(&self.entries, workload));
-        out
-    }
-
     /// Serialize all entries to JSON.
     pub fn to_json(&self) -> Result<String, KbError> {
         serde_json::to_string_pretty(&self.entries).map_err(KbError::Json)

@@ -467,6 +467,43 @@ mod tests {
         assert!(outcome.to_string().contains("pattern-d-sort-spill"));
     }
 
+    /// The no-delta path a fleet mostly sees: generated plans against
+    /// clones whose costs rose by 2%. The diff sees the cost change, but
+    /// the structure is the same, so every pattern fires alike on both
+    /// sides and nothing is reported.
+    #[test]
+    fn cost_perturbed_clones_produce_no_findings() {
+        use optimatch_workload::{
+            generate_workload, GeneratorConfig, InjectionConfig, WorkloadConfig,
+        };
+        let kb = builtin::paper_kb();
+        let workload = generate_workload(&WorkloadConfig {
+            seed: 0x0D_B2,
+            num_qeps: 32,
+            generator: GeneratorConfig::default(),
+            injection: InjectionConfig::paper_rates(),
+        });
+        let mut fired = 0;
+        for qep in &workload.qeps {
+            let mut perturbed = qep.clone();
+            for op in perturbed.ops.values_mut() {
+                op.total_cost *= 1.02;
+            }
+            let outcome = regress(&kb, qep, &perturbed, &RegressOptions::default()).unwrap();
+            assert!(outcome.diff.is_changed(), "{}", qep.id);
+            assert!(outcome.incidents.is_empty(), "{}", qep.id);
+            assert!(
+                outcome.findings.is_empty(),
+                "{}: {:?}",
+                qep.id,
+                outcome.findings
+            );
+            fired += usize::from(!outcome.samples.is_empty());
+        }
+        // Not vacuous: patterns fired on some of the pairs.
+        assert!(fired > 0);
+    }
+
     #[test]
     fn render_json_is_well_formed_for_empty_delta() {
         let kb = builtin::paper_kb();

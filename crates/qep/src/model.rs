@@ -653,11 +653,6 @@ impl Qep {
         Some(op.total_cost - child_cost)
     }
 
-    /// All operators of a given type.
-    pub fn ops_of_type(&self, t: OpType) -> impl Iterator<Item = &PlanOp> {
-        self.ops.values().filter(move |op| op.op_type == t)
-    }
-
     /// Quantize every numeric field through the plan-text formatter, so
     /// that `parse(format(qep)) == qep` holds exactly. Generators call
     /// this once after building a plan; values parsed from text are

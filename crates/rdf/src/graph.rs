@@ -20,7 +20,7 @@ pub type IdTriple = [TermId; 3];
 pub type Triple = (Term, Term, Term);
 
 /// Which index a pattern scan will use; exposed so the SPARQL layer's
-/// selectivity heuristics (and the ablation benches) can reason about it.
+/// selectivity heuristics can reason about it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexChoice {
     /// Subject-Predicate-Object index.
@@ -299,11 +299,6 @@ impl Graph {
             (Some(s), Some(p), Some(o)) => self.spo.contains(&[s, p, o]),
             _ => false,
         }
-    }
-
-    /// True when the graph contains the triple of interned ids.
-    pub fn contains_ids(&self, t: IdTriple) -> bool {
-        self.spo.contains(&t)
     }
 
     /// Iterate over every triple as ids, in SPO order.

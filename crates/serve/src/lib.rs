@@ -60,7 +60,6 @@ pub mod http;
 pub mod metrics;
 pub mod router;
 pub mod signal;
-pub mod sync;
 
 pub use metrics::{Metrics, Route};
 

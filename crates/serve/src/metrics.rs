@@ -25,7 +25,7 @@
 
 use std::time::Duration;
 
-use crate::sync::atomic::{AtomicU64, Ordering};
+use optimatch_core::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]

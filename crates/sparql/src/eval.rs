@@ -10,8 +10,9 @@
 //! the graph's cached cardinality statistics, the cheapest runs first, and
 //! bound-variable propagation re-prices the rest — so later patterns get
 //! index-backed probes instead of scans, and property paths are walked
-//! from whichever endpoint seeds the smaller frontier. The `ablations`
-//! bench measures what this buys on workload-scale matching.
+//! from whichever endpoint seeds the smaller frontier. `reproduce
+//! ablation` (in `optimatch-bench`) measures what this buys on
+//! workload-scale matching.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -133,15 +133,6 @@ impl Schema {
         &self.facts[rng.gen_range(0..self.facts.len())]
     }
 
-    /// A random table of either kind.
-    pub fn random_table(&self, rng: &mut impl Rng) -> &BaseObject {
-        if rng.gen_bool(0.3) {
-            self.random_fact(rng)
-        } else {
-            self.random_dim(rng)
-        }
-    }
-
     /// The index over a table, if one was sampled.
     pub fn index_for(&self, qualified: &str) -> Option<&BaseObject> {
         self.indexes
