@@ -111,7 +111,7 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optimatch_core::{builtin, KnowledgeBase, PruneStats, ScanOptions};
+    use optimatch_core::{builtin, EvalStats, KnowledgeBase, PruneStats, ScanOptions};
 
     #[test]
     fn linear_fit_exact_line() {
@@ -139,19 +139,20 @@ mod tests {
         assert_eq!(a.qeps.len(), 10);
     }
 
-    /// Pins how much pruning prunes on a fixed mix of paper-shaped plans
-    /// and prunable fillers: the exact counters of a scan with the paper
-    /// and the extended KB. A pruner that quietly gets weaker (or
-    /// unsoundly stronger) changes them.
+    /// Pins how much pruning prunes and how much the evaluator works on a
+    /// fixed mix of paper-shaped plans and prunable fillers: the exact
+    /// counters of a scan with the paper and the extended KB, with the
+    /// planner on and in source order. A pruner that quietly gets weaker
+    /// (or unsoundly stronger), or a planner that decides differently,
+    /// changes them.
     #[test]
     fn prune_counts_are_pinned() {
         let mut qeps = paper_workload(12).qeps;
         qeps.extend((0..12).map(|i| prunable_plan(i, 6)));
         let workload: Vec<TransformedQep> = qeps.into_iter().map(TransformedQep::new).collect();
-        let stats = |kb: KnowledgeBase| {
-            kb.scan_workload_with(&workload, ScanOptions::default())
+        let scan = |kb: &KnowledgeBase, optimize| {
+            kb.scan_workload_with(&workload, ScanOptions::default().optimize(optimize))
                 .expect("KB scans are valid")
-                .stats
         };
         let expected = |candidates, pruned, evaluated, matched| PruneStats {
             candidates,
@@ -159,7 +160,45 @@ mod tests {
             evaluated,
             matched,
         };
-        assert_eq!(stats(builtin::paper_kb()), expected(96, 58, 38, 10));
-        assert_eq!(stats(builtin::extended_kb()), expected(168, 82, 86, 12));
+        let planner =
+            |[patterns, reorders, estimated_rows, actual_rows]: [u64; 4],
+             [index_spo, index_pos, index_osp, backward_paths]: [u64; 4]| {
+                EvalStats {
+                    patterns,
+                    reorders,
+                    estimated_rows,
+                    actual_rows,
+                    index_spo,
+                    index_pos,
+                    index_osp,
+                    backward_paths,
+                }
+            };
+        let cases = [
+            (
+                builtin::paper_kb(),
+                expected(96, 58, 38, 10),
+                57_090,
+                planner([342, 166, 1_051, 6_259], [296, 42, 0, 0]),
+                369_793,
+            ),
+            (
+                builtin::extended_kb(),
+                expected(168, 82, 86, 12),
+                1_283_460,
+                planner([994, 310, 3_653, 35_095], [876, 102, 0, 0]),
+                405_497,
+            ),
+        ];
+        for (kb, stats, fuel, trace, source_order_fuel) in cases {
+            let greedy = scan(&kb, true);
+            assert_eq!(greedy.stats, stats);
+            assert_eq!(greedy.fuel_spent, fuel);
+            assert_eq!(greedy.planner, trace);
+            let oracle = scan(&kb, false);
+            assert_eq!(oracle.stats, stats);
+            assert_eq!(oracle.fuel_spent, source_order_fuel);
+            assert!(oracle.planner.is_empty());
+        }
     }
 }
