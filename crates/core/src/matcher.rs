@@ -1,7 +1,8 @@
 //! Algorithm 3: finding matches.
 //!
-//! A [`Matcher`] holds a pattern compiled to SPARQL (parsed once — the
-//! workload loop re-executes it against every QEP's graph). Matched
+//! A [`Matcher`] holds a pattern compiled to SPARQL, parsed and translated
+//! to the evaluator's algebra once — the workload loop re-executes that
+//! plan against every QEP's graph. Matched
 //! solutions are **de-transformed**: RDF resources are mapped back to plan
 //! context — operator numbers with their types, and base objects by name —
 //! which is what the paper's step "relates any matched portions of RDF
@@ -12,9 +13,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use optimatch_rdf::Term;
+use optimatch_sparql::algebra::{translate, Plan};
+use optimatch_sparql::eval::evaluate;
+use optimatch_sparql::plan::explain_plan;
 use optimatch_sparql::{
-    ast, execute_parsed, explain_parsed, parse_query, Budget, EvalStats, PhysicalPlan, PlanOptions,
-    RequiredPatterns,
+    parse_query, Budget, EvalStats, PhysicalPlan, PlanOptions, RequiredPatterns,
 };
 
 use crate::compile::compile_pattern;
@@ -93,27 +96,28 @@ impl PatternMatch {
     }
 }
 
-/// A pattern compiled and parsed, ready to run across a workload.
+/// A pattern compiled, parsed and translated, ready to run across a
+/// workload.
 #[derive(Debug, Clone)]
 pub struct Matcher {
     pattern: Pattern,
     sparql: String,
-    query: ast::Query,
+    plan: Plan,
     required: RequiredPatterns,
 }
 
 impl Matcher {
-    /// Compile a pattern (Algorithm 2), parse the generated SPARQL, and
-    /// derive the required-pattern probes used for workload pruning.
+    /// Compile a pattern (Algorithm 2), parse and translate the generated
+    /// SPARQL, and derive the required-pattern probes used for workload
+    /// pruning.
     pub fn compile(pattern: &Pattern) -> Result<Matcher, Error> {
         let sparql = compile_pattern(pattern)?;
         let query = parse_query(&sparql)?;
-        let required = RequiredPatterns::of(&query);
         Ok(Matcher {
             pattern: pattern.clone(),
             sparql,
-            query,
-            required,
+            plan: translate(&query)?,
+            required: RequiredPatterns::of(&query),
         })
     }
 
@@ -148,9 +152,9 @@ impl Matcher {
         optimize: bool,
     ) -> Result<(Vec<PatternMatch>, EvalStats), Error> {
         crate::chaos::trip(&self.pattern.name)?;
-        let (table, planner) = execute_parsed(
+        let (table, planner) = evaluate(
             &t.graph,
-            &self.query,
+            &self.plan,
             PlanOptions::default().optimize(optimize),
             budget,
         )?;
@@ -176,10 +180,10 @@ impl Matcher {
 
     /// The planner's physical plan for this pattern against one QEP's
     /// graph, without evaluating any rows — what `optimatch explain`
-    /// renders. The replay is exact: planner decisions depend only on the
-    /// graph's statistics and bound-variable flags, never on row contents.
-    pub fn explain(&self, t: &TransformedQep, options: PlanOptions) -> Result<PhysicalPlan, Error> {
-        Ok(explain_parsed(&t.graph, &self.query, options)?)
+    /// renders. It comes from the same step procedure evaluation runs,
+    /// drained for every BGP.
+    pub fn explain(&self, t: &TransformedQep, options: PlanOptions) -> PhysicalPlan {
+        explain_plan(&t.graph, &self.plan, options)
     }
 
     /// Match across a workload (the loop of Algorithm 3), concatenating

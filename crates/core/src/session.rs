@@ -180,10 +180,11 @@ impl OptImatch {
         options: PlanOptions,
     ) -> Result<Vec<(String, PhysicalPlan)>, Error> {
         let matcher = self.cache.get_or_compile(pattern)?;
-        self.workload
+        Ok(self
+            .workload
             .iter()
-            .map(|t| Ok((t.qep.id.clone(), matcher.explain(t, options)?)))
-            .collect()
+            .map(|t| (t.qep.id.clone(), matcher.explain(t, options)))
+            .collect())
     }
 
     /// Scan the whole workload against a knowledge base (Algorithm 5),

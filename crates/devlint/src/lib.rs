@@ -285,7 +285,13 @@ mod tests {
         assert_eq!(diags[0].line, 2);
         assert!(diags[0].message.contains("`pub fn scan`"));
 
-        for suffix in ["_budgeted", "_traced", "_with_options"] {
+        for suffix in [
+            "_budgeted",
+            "_traced",
+            "_with_options",
+            "_parsed",
+            "_directed",
+        ] {
             let s = format!("pub fn find() {{}}\npub fn find{suffix}() {{}}\n");
             let diags = lint_rust_source("crates/x/src/a.rs", &s, SourceScope::Production, 8);
             assert_eq!(codes(&diags), ["OD007"], "{suffix}");

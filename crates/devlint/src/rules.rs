@@ -10,7 +10,7 @@
 //! | OD004 | non-path dependency in a `Cargo.toml` (hermetic-build policy) |
 //! | OD005 | `#[deprecated]` item past (or without) its stated removal PR |
 //! | OD006 | direct `std::fs` / `File::` use in VFS-covered storage code |
-//! | OD007 | `pub fn X` beside a `pub fn X_with` / `X_budgeted` / `X_traced` / `X_with_options` sibling |
+//! | OD007 | `pub fn X` beside a `pub fn X_with` / `X_budgeted` / `X_traced` / `X_with_options` / `X_parsed` / `X_directed` sibling |
 //!
 //! OD001/OD002 look for the justification in a comment on the same line
 //! or within [`LOOKBACK`] lines above — the shape `rustc` shows in
@@ -25,7 +25,14 @@ pub const LOOKBACK: usize = 8;
 /// Name suffixes that mark a sibling of an existing public function
 /// (OD007): one more entry point per capability instead of one entry
 /// point taking the options.
-const SIBLING_SUFFIXES: [&str; 4] = ["_with", "_budgeted", "_traced", "_with_options"];
+const SIBLING_SUFFIXES: [&str; 6] = [
+    "_with",
+    "_budgeted",
+    "_traced",
+    "_with_options",
+    "_parsed",
+    "_directed",
+];
 
 /// How a `.rs` file should be linted, derived from its path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -46,7 +46,7 @@ const DEADLINE_CHECK_INTERVAL: u32 = 256;
 /// A step-count + wall-clock allowance for one evaluation.
 ///
 /// Construct with [`Budget::unlimited`] or [`Budget::limited`], pass to
-/// [`crate::execute_parsed`] (or [`crate::eval::evaluate`]), and inspect
+/// [`crate::eval::evaluate`], and inspect
 /// [`Budget::spent`] / [`Budget::exceeded`] afterwards.
 #[derive(Debug)]
 pub struct Budget {

@@ -64,11 +64,13 @@ pub fn parse_query(text: &str) -> Result<ast::Query, SparqlError> {
     parser::parse(text)
 }
 
-/// Parse and evaluate a SPARQL query against a graph with the default
-/// planner and no budget.
+/// Parse, translate and evaluate a SPARQL query against a graph with the
+/// default planner and no budget. A caller that runs one query against
+/// many graphs (the workload matcher) translates it once and calls
+/// [`eval::evaluate`] and [`plan::explain_plan`] itself.
 pub fn execute(graph: &Graph, text: &str) -> Result<ResultTable, SparqlError> {
-    let query = parse_query(text)?;
-    execute_parsed(graph, &query, PlanOptions::default(), &Budget::unlimited())
+    let plan = algebra::translate(&parse_query(text)?)?;
+    eval::evaluate(graph, &plan, PlanOptions::default(), &Budget::unlimited())
         .map(|(table, _)| table)
 }
 
@@ -76,36 +78,4 @@ pub fn execute(graph: &Graph, text: &str) -> Result<ResultTable, SparqlError> {
 /// non-empty result).
 pub fn ask(graph: &Graph, text: &str) -> Result<bool, SparqlError> {
     Ok(!execute(graph, text)?.is_empty())
-}
-
-/// Evaluate an already-parsed query against a graph, returning the
-/// planner's decision trace alongside the results. Parsing a pattern once
-/// and matching it against every QEP in a workload is the hot loop of the
-/// paper's experiments, so the parse is hoisted out.
-///
-/// `options.optimize = false` is the correctness oracle: source order, no
-/// direction guidance, empty trace. The [`Budget`] is observational while
-/// it holds; exhaustion (step fuel or deadline) returns
-/// [`SparqlError::BudgetExceeded`] instead of running unbounded — this is
-/// what bounds each (pattern × QEP) unit in workload scans.
-pub fn execute_parsed(
-    graph: &Graph,
-    query: &ast::Query,
-    options: PlanOptions,
-    budget: &Budget,
-) -> Result<(ResultTable, EvalStats), SparqlError> {
-    let plan = algebra::translate(query)?;
-    eval::evaluate(graph, &plan, options, budget)
-}
-
-/// Explain an already-parsed query against a graph: the planner's
-/// ordering, index, and path-direction decisions, without evaluating any
-/// rows.
-pub fn explain_parsed(
-    graph: &Graph,
-    query: &ast::Query,
-    options: PlanOptions,
-) -> Result<PhysicalPlan, SparqlError> {
-    let plan = algebra::translate(query)?;
-    Ok(plan::explain_plan(graph, &plan, options))
 }

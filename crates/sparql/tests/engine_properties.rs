@@ -5,7 +5,9 @@
 use proptest::prelude::*;
 
 use optimatch_rdf::{Graph, Term};
-use optimatch_sparql::{execute, execute_parsed, parse_query, Budget, PlanOptions};
+use optimatch_sparql::algebra::translate;
+use optimatch_sparql::eval::evaluate;
+use optimatch_sparql::{execute, parse_query, Budget, PlanOptions};
 
 const TYPES: &[&str] = &[
     "NLJOIN", "HSJOIN", "TBSCAN", "IXSCAN", "SORT", "FETCH", "GRPBY",
@@ -164,10 +166,13 @@ proptest! {
 
 #[test]
 fn parse_once_execute_many_is_consistent() {
-    // The workload loop parses each KB pattern once; re-execution against
-    // different graphs must be stateless.
-    let q = parse_query(
-        "SELECT ?n WHERE { ?n <p:type> \"TBSCAN\" . ?n <p:card> ?c . FILTER (?c > 50) }",
+    // The workload loop parses and translates each KB pattern once;
+    // re-execution against different graphs must be stateless.
+    let q = translate(
+        &parse_query(
+            "SELECT ?n WHERE { ?n <p:type> \"TBSCAN\" . ?n <p:card> ?c . FILTER (?c > 50) }",
+        )
+        .unwrap(),
     )
     .unwrap();
     let mut g1 = Graph::new();
@@ -178,7 +183,7 @@ fn parse_once_execute_many_is_consistent() {
     g2.insert(Term::iri("b"), Term::iri("p:card"), Term::lit_str("10"));
 
     let rows = |g: &Graph| {
-        execute_parsed(g, &q, PlanOptions::default(), &Budget::unlimited())
+        evaluate(g, &q, PlanOptions::default(), &Budget::unlimited())
             .unwrap()
             .0
             .len()

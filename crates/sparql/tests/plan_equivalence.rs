@@ -5,7 +5,9 @@
 //! reproducible from its printed seed.
 
 use optimatch_rdf::{Graph, Term};
-use optimatch_sparql::{execute_parsed, parse_query, Budget, PlanOptions};
+use optimatch_sparql::algebra::translate;
+use optimatch_sparql::eval::evaluate;
+use optimatch_sparql::{parse_query, Budget, PlanOptions};
 
 /// xorshift64* — deterministic, dependency-free.
 struct Rng(u64);
@@ -142,15 +144,15 @@ fn optimized_and_oracle_agree_on_generated_workloads() {
         let mut case_rng = Rng::new(seed);
         let g = random_graph(&mut case_rng);
         let text = random_query(&mut case_rng);
-        let query = match parse_query(&text) {
-            Ok(q) => q,
+        let plan = match parse_query(&text).and_then(|q| translate(&q)) {
+            Ok(plan) => plan,
             Err(e) => panic!("case {case} seed {seed:#x}: generated unparseable query {text}: {e}"),
         };
         let budget = Budget::unlimited();
-        let (optimized, stats) = execute_parsed(&g, &query, PlanOptions::default(), &budget)
+        let (optimized, stats) = evaluate(&g, &plan, PlanOptions::default(), &budget)
             .unwrap_or_else(|e| panic!("case {case} seed {seed:#x} optimized: {e}"));
         let (oracle, oracle_stats) =
-            execute_parsed(&g, &query, PlanOptions::default().optimize(false), &budget)
+            evaluate(&g, &plan, PlanOptions::default().optimize(false), &budget)
                 .unwrap_or_else(|e| panic!("case {case} seed {seed:#x} oracle: {e}"));
         assert_eq!(
             multiset(&optimized),
@@ -181,12 +183,12 @@ fn budget_semantics_survive_the_planner() {
     for _ in 0..50 {
         let g = random_graph(&mut rng);
         let text = "SELECT * WHERE { ?a (<p:in>|<p:out>)+ ?b . ?b <p:type> ?t . }";
-        let query = parse_query(text).unwrap();
+        let plan = translate(&parse_query(text).unwrap()).unwrap();
         let generous = Budget::limited(Some(1_000_000), None);
-        let (opt, _) = execute_parsed(&g, &query, PlanOptions::default(), &generous).unwrap();
-        let (oracle, _) = execute_parsed(
+        let (opt, _) = evaluate(&g, &plan, PlanOptions::default(), &generous).unwrap();
+        let (oracle, _) = evaluate(
             &g,
-            &query,
+            &plan,
             PlanOptions::default().optimize(false),
             &Budget::unlimited(),
         )
@@ -195,7 +197,7 @@ fn budget_semantics_survive_the_planner() {
 
         if !opt.is_empty() {
             let starved = Budget::limited(Some(1), None);
-            let err = execute_parsed(&g, &query, PlanOptions::default(), &starved)
+            let err = evaluate(&g, &plan, PlanOptions::default(), &starved)
                 .expect_err("one unit of fuel cannot evaluate a recursive join");
             assert!(matches!(
                 err,
