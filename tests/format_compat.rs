@@ -3,12 +3,16 @@
 //! `format_qep` renderings of fixtures fig1, fig7 and fig8, with a
 //! manifest labelling fig1 and fig7. Version-1 records carry a pruning
 //! summary that the current format dropped; the file must still open,
-//! verify and scan exactly like its plans, and must refuse appends.
+//! verify and scan exactly like its plans, and must refuse appends. Its
+//! graphs also pin the term ids a transform assigns.
 
 use std::path::{Path, PathBuf};
 
-use optimatch_suite::core::{builtin, repo, OpenOptions, OptImatch, ScanOptions, Source};
+use optimatch_suite::core::{
+    builtin, repo, OpenOptions, OptImatch, ScanOptions, Source, TransformedQep,
+};
 use optimatch_suite::qep::{fixtures, format_qep};
+use optimatch_suite::rdf::{Graph, IdTriple, Term};
 use optimatch_suite::repo::{RepoError, Repository, FORMAT_VERSION};
 
 fn v1_repo() -> PathBuf {
@@ -79,6 +83,28 @@ fn v1_repository_opens_verifies_and_scans_like_its_plans() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Repository bytes hold each graph's term table in id order and its id
+/// triples, so a transform must intern terms in the order the stored
+/// graphs record.
+#[test]
+fn transform_assigns_the_stored_term_ids() {
+    let stored = Repository::open(&v1_repo()).expect("strict open");
+    let fixtures = [fixtures::fig1(), fixtures::fig7(), fixtures::fig8()];
+    assert_eq!(stored.records.len(), fixtures.len());
+    let terms = |g: &Graph| -> Vec<Term> { g.pool().iter().map(|(_, t)| t.clone()).collect() };
+    let triples = |g: &Graph| -> Vec<IdTriple> { g.iter_ids().collect() };
+    for (record, qep) in stored.records.iter().zip(fixtures) {
+        let fresh = TransformedQep::new(qep);
+        assert_eq!(terms(&record.graph), terms(&fresh.graph), "{}", record.id);
+        assert_eq!(
+            triples(&record.graph),
+            triples(&fresh.graph),
+            "{}",
+            record.id
+        );
+    }
+}
+
 #[test]
 fn v1_repository_refuses_appends_and_stays_untouched() {
     let dir = temp_dir("append");
@@ -88,7 +114,7 @@ fn v1_repository_refuses_appends_and_stays_untouched() {
 
     let mut extra = fixtures::fig1();
     extra.id = "fig1b".into();
-    let t = optimatch_suite::core::TransformedQep::new(extra);
+    let t = TransformedQep::new(extra);
     let err = Repository::append(&copy, &[repo::snapshot(&t, "fig1b.qep", Vec::new())])
         .expect_err("v1 files are read-only");
     assert!(
