@@ -5,9 +5,9 @@
 //! The key invariant, enforced by the round-trip property tests: a
 //! session restored from a repository produces **byte-identical** scan
 //! reports to one built from the same plan directory. Everything the
-//! scan consumes — the interned RDF graph (with its dense term ids and
-//! blank-node counter) and the parsed plan — is stored and reconstructed
-//! exactly; nothing is re-derived on load.
+//! scan consumes — the interned RDF graph (with its dense term ids) and
+//! the parsed plan — is stored and reconstructed exactly; nothing is
+//! re-derived on load.
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;

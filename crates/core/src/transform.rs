@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use optimatch_qep::{InputSource, JoinModifier, PredicateKind, Qep, StreamKind};
 use optimatch_rdf::numeric::format_double;
-use optimatch_rdf::{Graph, Term};
+use optimatch_rdf::{Graph, GraphBuilder, Term};
 
 use crate::vocab::{self, names};
 
@@ -85,7 +85,7 @@ fn typed_predicate_name(kind: PredicateKind) -> &'static str {
 /// spelling (`"4043.0"`, `"1.93187e+06"`), exactly as the paper's
 /// Figure 2 shows; the SPARQL layer coerces them numerically in FILTERs.
 pub fn transform_qep(qep: &Qep) -> Graph {
-    let mut g = Graph::new();
+    let mut g = GraphBuilder::new();
 
     // Operators and their scalar properties.
     for op in qep.ops.values() {
@@ -249,7 +249,7 @@ pub fn transform_qep(qep: &Qep) -> Graph {
             );
         }
     }
-    g
+    g.build()
 }
 
 /// Transform a whole workload (the batch loop of Algorithm 1).

@@ -1,14 +1,14 @@
 //! The in-memory triple store.
 //!
-//! A [`Graph`] keeps every triple in three B-tree indexes — SPO, POS, and
-//! OSP — so that any triple pattern with at least one bound position resolves
-//! to a contiguous range scan. This is the same indexing discipline RDF
-//! stores like Jena TDB use, scaled down to the per-QEP graphs OptImatch
-//! works with (hundreds to a few thousand triples each).
-
-use std::collections::BTreeSet;
-use std::ops::Bound;
-use std::sync::{Arc, OnceLock};
+//! A [`Graph`] is built once and never changes: a [`GraphBuilder`] (or
+//! [`Graph::from_parts`], for a persisted graph) hands its id triples to
+//! one constructor, which sorts them into three indexes — SPO, POS and
+//! OSP — and computes the planner's [`GraphStats`] in the same pass. Any
+//! triple pattern then resolves to one contiguous range of the index
+//! [`Graph::index_for`] names, so a pattern's match count is the length
+//! of that range. This is the same indexing discipline RDF stores like
+//! Jena TDB use, scaled down to the per-QEP graphs OptImatch works with
+//! (hundreds to a few thousand triples each).
 
 use crate::pool::{TermId, TermPool};
 use crate::term::Term;
@@ -29,6 +29,26 @@ pub enum IndexChoice {
     Pos,
     /// Object-Subject-Predicate index.
     Osp,
+}
+
+impl IndexChoice {
+    /// Reorder `[s, p, o]` into this index's key order.
+    fn key<T>(self, [s, p, o]: [T; 3]) -> [T; 3] {
+        match self {
+            IndexChoice::Spo => [s, p, o],
+            IndexChoice::Pos => [p, o, s],
+            IndexChoice::Osp => [o, s, p],
+        }
+    }
+
+    /// Reorder a key of this index back into `[s, p, o]`.
+    fn triple<T>(self, [a, b, c]: [T; 3]) -> [T; 3] {
+        match self {
+            IndexChoice::Spo => [a, b, c],
+            IndexChoice::Pos => [c, a, b],
+            IndexChoice::Osp => [b, c, a],
+        }
+    }
 }
 
 /// Per-predicate cardinality statistics — the selectivity signals the
@@ -60,8 +80,8 @@ impl PredicateStats {
     }
 }
 
-/// Whole-graph statistics: computed once per graph (two index walks) and
-/// cached, so the planner's per-pattern estimates are O(log P) probes.
+/// Whole-graph statistics, computed when the graph is built, so the
+/// planner's per-pattern estimates are O(log P) probes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphStats {
     /// Total triples in the graph.
@@ -80,11 +100,6 @@ impl GraphStats {
             .ok()
             .map(|i| &self.predicates[i])
     }
-
-    /// Total triples carrying predicate `p` (0 when absent).
-    pub fn predicate_count(&self, p: TermId) -> usize {
-        self.predicate(p).map_or(0, |ps| ps.count)
-    }
 }
 
 /// Compute [`GraphStats`] from the indexes: one POS walk yields per-
@@ -92,14 +107,10 @@ impl GraphStats {
 /// predicate, so transitions count them); one SPO walk yields distinct
 /// subjects (predicates are sorted within a subject, so each new `(s, p)`
 /// pair is one distinct subject for `p`).
-fn compute_stats(
-    spo: &BTreeSet<[TermId; 3]>,
-    pos: &BTreeSet<[TermId; 3]>,
-    terms: usize,
-) -> GraphStats {
+fn compute_stats(spo: &[u128], pos: &[u128], terms: usize) -> GraphStats {
     let mut predicates: Vec<PredicateStats> = Vec::new();
     let mut last: Option<[TermId; 2]> = None;
-    for &[p, o, _] in pos {
+    for [p, o, _] in pos.iter().map(|&k| unpack(k)) {
         match predicates.last_mut() {
             Some(ps) if ps.predicate == p => {
                 ps.count += 1;
@@ -117,7 +128,7 @@ fn compute_stats(
         last = Some([p, o]);
     }
     let mut last_sp: Option<[TermId; 2]> = None;
-    for &[s, p, _] in spo {
+    for [s, p, _] in spo.iter().map(|&k| unpack(k)) {
         if last_sp != Some([s, p]) {
             if let Ok(i) = predicates.binary_search_by_key(&p, |ps| ps.predicate) {
                 predicates[i].distinct_subjects += 1;
@@ -132,104 +143,125 @@ fn compute_stats(
     }
 }
 
-/// Bulk-build one index: permute every triple, sort, collect. When all ids
-/// fit in 21 bits (they always do for per-QEP graphs, whose pools hold a
-/// few thousand terms), the three ids pack into one `u64` so the sort
-/// compares a single word per element instead of three.
-fn build_index(
-    triples: &[IdTriple],
-    limit: u32,
-    perm: impl Fn(&IdTriple) -> [TermId; 3],
-) -> BTreeSet<[TermId; 3]> {
-    const PACK_BITS: u32 = 21;
-    const PACK_MASK: u64 = (1 << PACK_BITS) - 1;
-    if u64::from(limit) <= 1 << PACK_BITS {
-        let mut keys: Vec<u64> = triples
-            .iter()
-            .map(|t| {
-                let [a, b, c] = perm(t);
-                (u64::from(a.0) << (2 * PACK_BITS)) | (u64::from(b.0) << PACK_BITS) | u64::from(c.0)
-            })
-            .collect();
-        keys.sort_unstable();
-        keys.into_iter()
-            .map(|k| {
-                [
-                    TermId((k >> (2 * PACK_BITS)) as u32),
-                    TermId(((k >> PACK_BITS) & PACK_MASK) as u32),
-                    TermId((k & PACK_MASK) as u32),
-                ]
-            })
-            .collect()
-    } else {
-        let mut v: Vec<[TermId; 3]> = triples.iter().map(perm).collect();
-        v.sort_unstable();
-        v.into_iter().collect()
+/// An index key: three ids packed most significant first, so keys sort in
+/// the lexicographic order of the ids.
+fn pack([a, b, c]: [TermId; 3]) -> u128 {
+    (u128::from(a.0) << 64) | (u128::from(b.0) << 32) | u128::from(c.0)
+}
+
+/// The three ids of an index key.
+fn unpack(key: u128) -> [TermId; 3] {
+    [
+        TermId((key >> 64) as u32),
+        TermId((key >> 32) as u32),
+        TermId(key as u32),
+    ]
+}
+
+/// Bulk-build one index: every triple's key in that index's order,
+/// sorted, each triple once.
+fn build_index(triples: &[IdTriple], choice: IndexChoice) -> Vec<u128> {
+    let mut keys: Vec<u128> = triples.iter().map(|&t| pack(choice.key(t))).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// The end of the run of keys `<= hi` that starts at `from`, found by
+/// galloping: a range of `k` keys costs O(log k) comparisons, so point
+/// and short-range lookups stay near `from`.
+fn gallop_end(index: &[u128], from: usize, hi: u128) -> usize {
+    let rest = &index[from..];
+    let mut step = 1;
+    while step < rest.len() && rest[step] <= hi {
+        step *= 2;
+    }
+    let lo = step / 2;
+    from + lo + rest[lo..step.min(rest.len())].partition_point(|&k| k <= hi)
+}
+
+/// Collects the triples of one graph, then sorts them into a [`Graph`].
+///
+/// Terms are interned in insertion order — subject, predicate, object —
+/// so the same inserts always produce the same dense ids, which a
+/// persisted graph's term table reproduces.
+#[derive(Debug, Default)]
+pub struct GraphBuilder {
+    pool: TermPool,
+    triples: Vec<IdTriple>,
+}
+
+impl GraphBuilder {
+    /// Start an empty graph.
+    pub fn new() -> GraphBuilder {
+        GraphBuilder::default()
+    }
+
+    /// Add a triple of terms. A repeated triple is stored once.
+    pub fn insert(&mut self, s: Term, p: Term, o: Term) {
+        let s = self.pool.intern(s);
+        let p = self.pool.intern(p);
+        let o = self.pool.intern(o);
+        self.triples.push([s, p, o]);
+    }
+
+    /// Index the collected triples.
+    pub fn build(self) -> Graph {
+        Graph::indexed(self.pool, &self.triples)
     }
 }
 
-/// An in-memory RDF graph with SPO/POS/OSP indexes.
+/// An immutable in-memory RDF graph: a term pool, three sorted indexes
+/// and the statistics computed from them.
 #[derive(Debug, Default, Clone)]
 pub struct Graph {
     pool: TermPool,
-    spo: BTreeSet<[TermId; 3]>,
-    pos: BTreeSet<[TermId; 3]>,
-    osp: BTreeSet<[TermId; 3]>,
-    next_bnode: u64,
-    // Lazily computed, invalidated on mutation. An `Arc` so the planner
-    // can hold the snapshot without borrowing the graph.
-    stats: OnceLock<Arc<GraphStats>>,
+    // Each index holds every triple once, as a `pack`ed key in that
+    // index's order, sorted ascending.
+    spo: Vec<u128>,
+    pos: Vec<u128>,
+    osp: Vec<u128>,
+    stats: GraphStats,
 }
 
 impl Graph {
-    /// Create an empty graph.
-    pub fn new() -> Graph {
-        Graph::default()
+    /// The one constructor: sort `triples` (ids from `pool`) into the
+    /// three indexes, dropping repeats, and compute the statistics.
+    fn indexed(pool: TermPool, triples: &[IdTriple]) -> Graph {
+        let spo = build_index(triples, IndexChoice::Spo);
+        let pos = build_index(triples, IndexChoice::Pos);
+        let stats = compute_stats(&spo, &pos, pool.len());
+        Graph {
+            osp: build_index(triples, IndexChoice::Osp),
+            pool,
+            spo,
+            pos,
+            stats,
+        }
     }
 
     /// Rebuild a graph from its serialized parts: the term table in
-    /// interning order, the id triples, and the blank-node counter. The
-    /// reconstructed graph is indistinguishable from the original — same
-    /// dense ids, same index contents, same future `fresh_bnode` labels —
-    /// which is what lets a persisted graph evaluate SPARQL identically
-    /// to a freshly transformed one. The three indexes are bulk-built
-    /// from sorted vectors rather than inserted triple by triple.
-    pub fn from_parts(
-        terms: Vec<Term>,
-        triples: &[IdTriple],
-        next_bnode: u64,
-    ) -> Result<Graph, String> {
+    /// interning order and the id triples. The reconstructed graph is
+    /// indistinguishable from the original — same dense ids, same index
+    /// contents — which is what lets a persisted graph evaluate SPARQL
+    /// identically to a freshly transformed one.
+    pub fn from_parts(terms: Vec<Term>, triples: &[IdTriple]) -> Result<Graph, String> {
         let pool = TermPool::from_terms(terms)?;
-        let limit = pool.len() as u32;
-        for &[s, p, o] in triples {
-            for id in [s, p, o] {
-                if id.0 >= limit {
-                    return Err(format!(
-                        "triple references term id {} but the pool holds {limit} term(s)",
-                        id.0
-                    ));
-                }
+        let limit = pool.len();
+        for id in triples.iter().flatten() {
+            if id.0 as usize >= limit {
+                return Err(format!(
+                    "triple references term id {} but the pool holds {limit} term(s)",
+                    id.0
+                ));
             }
         }
-        Ok(Graph {
-            spo: build_index(triples, limit, |&[s, p, o]| [s, p, o]),
-            pos: build_index(triples, limit, |&[s, p, o]| [p, o, s]),
-            osp: build_index(triples, limit, |&[s, p, o]| [o, s, p]),
-            pool,
-            next_bnode,
-            stats: OnceLock::new(),
-        })
+        Ok(Graph::indexed(pool, triples))
     }
 
     /// The graph's term pool (for resolving [`TermId`]s).
     pub fn pool(&self) -> &TermPool {
         &self.pool
-    }
-
-    /// The blank-node counter (how many [`Graph::fresh_bnode`] calls have
-    /// happened), exposed so serializers can persist it.
-    pub fn bnode_counter(&self) -> u64 {
-        self.next_bnode
     }
 
     /// Number of triples stored.
@@ -242,12 +274,7 @@ impl Graph {
         self.spo.is_empty()
     }
 
-    /// Intern a term in this graph's pool without asserting any triple.
-    pub fn intern(&mut self, term: Term) -> TermId {
-        self.pool.intern(term)
-    }
-
-    /// Look up a term's id without interning.
+    /// Look up a term's id.
     pub fn term_id(&self, term: &Term) -> Option<TermId> {
         self.pool.get(term)
     }
@@ -257,68 +284,30 @@ impl Graph {
         self.pool.resolve(id)
     }
 
-    /// Mint a fresh blank node unique within this graph.
-    pub fn fresh_bnode(&mut self, hint: &str) -> Term {
-        let n = self.next_bnode;
-        self.next_bnode += 1;
-        Term::bnode(format!("{hint}{n}"))
-    }
-
-    /// Insert a triple of terms. Returns `true` if the triple was new.
-    pub fn insert(&mut self, s: Term, p: Term, o: Term) -> bool {
-        let s = self.pool.intern(s);
-        let p = self.pool.intern(p);
-        let o = self.pool.intern(o);
-        self.insert_ids([s, p, o])
-    }
-
-    /// Insert a triple of already-interned ids. Returns `true` if new.
-    pub fn insert_ids(&mut self, [s, p, o]: IdTriple) -> bool {
-        let added = self.spo.insert([s, p, o]);
-        if added {
-            self.pos.insert([p, o, s]);
-            self.osp.insert([o, s, p]);
-            // Cached statistics describe the pre-insert graph; drop them.
-            self.stats.take();
-        }
-        added
-    }
-
-    /// Whole-graph cardinality statistics, computed on first use and
-    /// cached until the next mutation. Cheap to share: the planner clones
-    /// the `Arc`, not the stats.
-    pub fn stats(&self) -> Arc<GraphStats> {
-        self.stats
-            .get_or_init(|| Arc::new(compute_stats(&self.spo, &self.pos, self.pool.len())))
-            .clone()
+    /// Whole-graph cardinality statistics, computed when the graph was
+    /// built.
+    pub fn stats(&self) -> &GraphStats {
+        &self.stats
     }
 
     /// True when the graph contains the exact triple.
     pub fn contains(&self, s: &Term, p: &Term, o: &Term) -> bool {
-        match (self.pool.get(s), self.pool.get(p), self.pool.get(o)) {
-            (Some(s), Some(p), Some(o)) => self.spo.contains(&[s, p, o]),
-            _ => false,
-        }
+        self.has_match(Some(s), Some(p), Some(o))
     }
 
     /// Iterate over every triple as ids, in SPO order.
     pub fn iter_ids(&self) -> impl Iterator<Item = IdTriple> + '_ {
-        self.spo.iter().copied()
+        self.spo.iter().map(|&k| unpack(k))
     }
 
     /// Iterate over every triple as resolved terms, in SPO order.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.spo.iter().map(move |&[s, p, o]| {
-            (
-                self.pool.resolve(s).clone(),
-                self.pool.resolve(p).clone(),
-                self.pool.resolve(o).clone(),
-            )
-        })
+        self.iter_ids().map(move |t| self.resolve_triple(t))
     }
 
     /// Which index [`Graph::matching_ids`] will scan for a given binding
-    /// shape (`true` = position bound).
+    /// shape (`true` = position bound). The bound positions always lead
+    /// that index's key order.
     pub fn index_for(s: bool, p: bool, o: bool) -> IndexChoice {
         match (s, p, o) {
             (true, true, true) => IndexChoice::Spo,
@@ -330,33 +319,36 @@ impl Graph {
         }
     }
 
-    /// Scan all triples matching the pattern, where `None` is a wildcard.
-    /// Ids must come from this graph's pool.
+    fn index(&self, choice: IndexChoice) -> &[u128] {
+        match choice {
+            IndexChoice::Spo => &self.spo,
+            IndexChoice::Pos => &self.pos,
+            IndexChoice::Osp => &self.osp,
+        }
+    }
+
+    /// Scan all triples matching the pattern, where `None` is a wildcard,
+    /// in the order of the [`Graph::index_for`] index; the iterator's
+    /// length is the match count. Ids must come from this graph's pool.
     pub fn matching_ids(
         &self,
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
-    ) -> Box<dyn Iterator<Item = IdTriple> + '_> {
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => {
-                let hit = self.spo.contains(&[s, p, o]);
-                Box::new(hit.then_some([s, p, o]).into_iter())
-            }
-            (Some(s), Some(p), None) => Box::new(
-                range2(&self.spo, s, p).copied(), // already SPO order
-            ),
-            (Some(s), None, None) => Box::new(range1(&self.spo, s).copied()),
-            (Some(s), None, Some(o)) => {
-                Box::new(range2(&self.osp, o, s).map(|&[o, s, p]| [s, p, o]))
-            }
-            (None, Some(p), Some(o)) => {
-                Box::new(range2(&self.pos, p, o).map(|&[p, o, s]| [s, p, o]))
-            }
-            (None, Some(p), None) => Box::new(range1(&self.pos, p).map(|&[p, o, s]| [s, p, o])),
-            (None, None, Some(o)) => Box::new(range1(&self.osp, o).map(|&[o, s, p]| [s, p, o])),
-            (None, None, None) => Box::new(self.spo.iter().copied()),
-        }
+    ) -> impl ExactSizeIterator<Item = IdTriple> + '_ {
+        let choice = Graph::index_for(s.is_some(), p.is_some(), o.is_some());
+        let index = self.index(choice);
+        // The bound positions lead the key, so the matches are exactly the
+        // keys between the bound prefix padded with the smallest and with
+        // the largest id.
+        let prefix = choice.key([s, p, o]);
+        let lo = pack(prefix.map(|id| id.unwrap_or(TermId(0))));
+        let hi = pack(prefix.map(|id| id.unwrap_or(TermId(u32::MAX))));
+        let start = index.partition_point(|&k| k < lo);
+        let end = gallop_end(index, start, hi);
+        index[start..end]
+            .iter()
+            .map(move |&k| choice.triple(unpack(k)))
     }
 
     /// Scan matching triples by term, resolving results to owned terms.
@@ -366,17 +358,11 @@ impl Graph {
         s: Option<&Term>,
         p: Option<&Term>,
         o: Option<&Term>,
-    ) -> Box<dyn Iterator<Item = Triple> + 'g> {
-        let Some([s, p, o]) = self.pattern_ids([s, p, o]) else {
-            return Box::new(std::iter::empty());
-        };
-        Box::new(self.matching_ids(s, p, o).map(move |[s, p, o]| {
-            (
-                self.pool.resolve(s).clone(),
-                self.pool.resolve(p).clone(),
-                self.pool.resolve(o).clone(),
-            )
-        }))
+    ) -> impl Iterator<Item = Triple> + 'g {
+        self.pattern_ids([s, p, o])
+            .into_iter()
+            .flat_map(move |[s, p, o]| self.matching_ids(s, p, o))
+            .map(move |t| self.resolve_triple(t))
     }
 
     /// True when at least one triple matches `(s, p, o)`, `None` being a
@@ -384,7 +370,7 @@ impl Graph {
     /// matches nothing.
     pub fn has_match(&self, s: Option<&Term>, p: Option<&Term>, o: Option<&Term>) -> bool {
         self.pattern_ids([s, p, o])
-            .is_some_and(|[s, p, o]| self.matching_ids(s, p, o).next().is_some())
+            .is_some_and(|[s, p, o]| self.matching_ids(s, p, o).len() > 0)
     }
 
     /// Translate a term pattern to ids, keeping wildcards; `None` when a
@@ -397,6 +383,14 @@ impl Graph {
             }
         }
         Some(ids)
+    }
+
+    fn resolve_triple(&self, [s, p, o]: IdTriple) -> Triple {
+        (
+            self.pool.resolve(s).clone(),
+            self.pool.resolve(p).clone(),
+            self.pool.resolve(o).clone(),
+        )
     }
 
     /// The single object of `(s, p, ?)` if exactly one exists.
@@ -415,29 +409,6 @@ impl Graph {
             .map(|t| t.2)
             .collect()
     }
-
-    /// All subjects of `(?, p, o)`.
-    pub fn subjects_of(&self, p: &Term, o: &Term) -> Vec<Term> {
-        self.triples_matching(None, Some(p), Some(o))
-            .map(|t| t.0)
-            .collect()
-    }
-}
-
-/// Range over a B-tree index where the first component is fixed.
-fn range1(idx: &BTreeSet<[TermId; 3]>, a: TermId) -> impl Iterator<Item = &[TermId; 3]> {
-    idx.range((
-        Bound::Included([a, TermId::MIN, TermId::MIN]),
-        Bound::Included([a, TermId::MAX, TermId::MAX]),
-    ))
-}
-
-/// Range over a B-tree index where the first two components are fixed.
-fn range2(idx: &BTreeSet<[TermId; 3]>, a: TermId, b: TermId) -> impl Iterator<Item = &[TermId; 3]> {
-    idx.range((
-        Bound::Included([a, b, TermId::MIN]),
-        Bound::Included([a, b, TermId::MAX]),
-    ))
 }
 
 #[cfg(test)]
@@ -445,7 +416,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Graph {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         let p_type = Term::iri("p:hasPopType");
         let p_card = Term::iri("p:hasEstimateCardinality");
         let p_in = Term::iri("p:hasInputStream");
@@ -455,15 +426,17 @@ mod tests {
         g.insert(Term::iri("q:pop5"), p_card.clone(), Term::lit_str("4043.0"));
         g.insert(Term::iri("q:pop2"), p_in.clone(), Term::iri("q:pop3"));
         g.insert(Term::iri("q:pop2"), p_in.clone(), Term::iri("q:pop5"));
-        g
+        g.build()
     }
 
     #[test]
     fn insert_deduplicates() {
-        let mut g = Graph::new();
-        assert!(g.insert(Term::iri("a"), Term::iri("b"), Term::iri("c")));
-        assert!(!g.insert(Term::iri("a"), Term::iri("b"), Term::iri("c")));
+        let mut g = GraphBuilder::new();
+        g.insert(Term::iri("a"), Term::iri("b"), Term::iri("c"));
+        g.insert(Term::iri("a"), Term::iri("b"), Term::iri("c"));
+        let g = g.build();
         assert_eq!(g.len(), 1);
+        assert_eq!(g.pool().len(), 3);
     }
 
     #[test]
@@ -528,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn object_and_subject_helpers() {
+    fn object_helpers() {
         let g = sample();
         assert_eq!(
             g.object_of(&Term::iri("q:pop5"), &Term::iri("p:hasPopType")),
@@ -544,18 +517,6 @@ mod tests {
                 .len(),
             2
         );
-        assert_eq!(
-            g.subjects_of(&Term::iri("p:hasPopType"), &Term::lit_str("FETCH")),
-            vec![Term::iri("q:pop3")]
-        );
-    }
-
-    #[test]
-    fn fresh_bnodes_are_unique() {
-        let mut g = Graph::new();
-        let a = g.fresh_bnode("b");
-        let b = g.fresh_bnode("b");
-        assert_ne!(a, b);
     }
 
     #[test]
@@ -578,17 +539,15 @@ mod tests {
         assert!(g.has_match(Some(&p("q:pop5")), Some(&p("p:hasPopType")), None));
         assert!(!g.has_match(Some(&p("q:pop2")), Some(&p("p:hasPopType")), Some(&tbscan)));
         assert!(g.has_match(None, None, None));
-        assert!(!Graph::new().has_match(None, None, None));
+        assert!(!Graph::default().has_match(None, None, None));
     }
 
     #[test]
     fn from_parts_reconstructs_an_identical_graph() {
-        let mut g = sample();
-        g.fresh_bnode("n");
-        g.fresh_bnode("n");
+        let g = sample();
         let terms: Vec<Term> = g.pool().iter().map(|(_, t)| t.clone()).collect();
         let triples: Vec<IdTriple> = g.iter_ids().collect();
-        let rebuilt = Graph::from_parts(terms, &triples, g.bnode_counter()).unwrap();
+        let rebuilt = Graph::from_parts(terms, &triples).unwrap();
         assert_eq!(rebuilt.len(), g.len());
         assert_eq!(rebuilt.pool().len(), g.pool().len());
         // Same dense ids for the same terms.
@@ -600,21 +559,13 @@ mod tests {
             rebuilt.iter_ids().collect::<Vec<_>>(),
             g.iter_ids().collect::<Vec<_>>()
         );
-        // Blank-node counter carried over: next fresh bnode matches.
-        let mut g2 = g.clone();
-        let mut r2 = rebuilt;
-        assert_eq!(g2.fresh_bnode("n"), r2.fresh_bnode("n"));
     }
 
     #[test]
     fn from_parts_rejects_bad_inputs() {
-        let dup = Graph::from_parts(vec![Term::iri("a"), Term::iri("a")], &[], 0);
+        let dup = Graph::from_parts(vec![Term::iri("a"), Term::iri("a")], &[]);
         assert!(dup.is_err());
-        let oob = Graph::from_parts(
-            vec![Term::iri("a")],
-            &[[TermId(0), TermId(0), TermId(1)]],
-            0,
-        );
+        let oob = Graph::from_parts(vec![Term::iri("a")], &[[TermId(0), TermId(0), TermId(1)]]);
         assert!(oob.unwrap_err().contains("term id 1"));
     }
 
@@ -657,30 +608,6 @@ mod tests {
         // A term that is never a predicate has no stats entry.
         let subj = g.term_id(&Term::iri("q:pop2")).unwrap();
         assert!(stats.predicate(subj).is_none());
-        assert_eq!(stats.predicate_count(subj), 0);
-    }
-
-    #[test]
-    fn stats_are_cached_and_invalidated_on_insert() {
-        let mut g = sample();
-        let before = g.stats();
-        // Same Arc while the graph is unchanged.
-        assert!(Arc::ptr_eq(&before, &g.stats()));
-        // A duplicate insert is a no-op and keeps the cache.
-        assert!(!g.insert(
-            Term::iri("q:pop2"),
-            Term::iri("p:hasPopType"),
-            Term::lit_str("NLJOIN"),
-        ));
-        assert!(Arc::ptr_eq(&before, &g.stats()));
-        // A real insert invalidates: the new snapshot sees the new triple.
-        assert!(g.insert(Term::iri("q:pop9"), Term::iri("p:new"), Term::iri("q:pop2")));
-        let after = g.stats();
-        assert!(!Arc::ptr_eq(&before, &after));
-        assert_eq!(after.triples, 7);
-        assert_eq!(before.triples, 6);
-        let p_new = g.term_id(&Term::iri("p:new")).unwrap();
-        assert_eq!(after.predicate_count(p_new), 1);
     }
 
     #[test]
@@ -688,7 +615,7 @@ mod tests {
         let g = sample();
         let terms: Vec<Term> = g.pool().iter().map(|(_, t)| t.clone()).collect();
         let triples: Vec<IdTriple> = g.iter_ids().collect();
-        let rebuilt = Graph::from_parts(terms, &triples, g.bnode_counter()).unwrap();
-        assert_eq!(*rebuilt.stats(), *g.stats());
+        let rebuilt = Graph::from_parts(terms, &triples).unwrap();
+        assert_eq!(rebuilt.stats(), g.stats());
     }
 }

@@ -10,8 +10,9 @@
 //! * [`term`] — RDF terms: IRIs, blank nodes, and literals (plain and typed).
 //! * [`pool`] — per-graph term interning to dense [`TermId`]s so triples are
 //!   three machine words and index scans never touch strings.
-//! * [`graph`] — an in-memory triple store with three B-tree indexes
-//!   (SPO / POS / OSP) and range-scan pattern matching.
+//! * [`graph`] — an immutable in-memory triple store: a [`GraphBuilder`]
+//!   collects triples once and sorts them into three indexes (SPO / POS /
+//!   OSP), so every triple pattern is one range of one index.
 //! * [`ntriples`] — N-Triples writer and parser (round-trip tested).
 //! * [`turtle`] — a prefix-aware Turtle writer for human-readable dumps like
 //!   the paper's Figure 2.
@@ -23,14 +24,15 @@
 //! ## Example
 //!
 //! ```
-//! use optimatch_rdf::{Graph, Term};
+//! use optimatch_rdf::{GraphBuilder, Term};
 //!
-//! let mut g = Graph::new();
+//! let mut b = GraphBuilder::new();
 //! let pop5 = Term::iri("http://optimatch/qep#pop5");
-//! g.insert(pop5.clone(), Term::iri("http://optimatch/pred#hasPopType"),
+//! b.insert(pop5.clone(), Term::iri("http://optimatch/pred#hasPopType"),
 //!          Term::lit_str("TBSCAN"));
-//! g.insert(pop5.clone(), Term::iri("http://optimatch/pred#hasEstimateCardinality"),
+//! b.insert(pop5.clone(), Term::iri("http://optimatch/pred#hasEstimateCardinality"),
 //!          Term::lit_double(4043.0));
+//! let g = b.build();
 //! assert_eq!(g.len(), 2);
 //!
 //! // Pattern scan: everything said about pop5.
@@ -46,6 +48,6 @@ pub mod pool;
 pub mod term;
 pub mod turtle;
 
-pub use graph::{Graph, GraphStats, IdTriple, IndexChoice, PredicateStats, Triple};
+pub use graph::{Graph, GraphBuilder, GraphStats, IdTriple, IndexChoice, PredicateStats, Triple};
 pub use pool::{TermId, TermPool};
 pub use term::{Literal, Term};

@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 
-use crate::graph::Graph;
+use crate::graph::{Graph, GraphBuilder};
 use crate::term::{Literal, Term};
 
 /// Errors produced by the N-Triples parser.
@@ -44,7 +44,7 @@ pub fn to_ntriples(graph: &Graph) -> String {
 /// Supports IRIs, blank nodes, plain / typed / language-tagged literals,
 /// `#` comment lines, and blank lines.
 pub fn from_ntriples(input: &str) -> Result<Graph, ParseError> {
-    let mut graph = Graph::new();
+    let mut graph = GraphBuilder::new();
     for (lineno, raw) in input.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -68,7 +68,7 @@ pub fn from_ntriples(input: &str) -> Result<Graph, ParseError> {
         }
         graph.insert(s, pred, o);
     }
-    Ok(graph)
+    Ok(graph.build())
 }
 
 struct LineParser<'a> {
@@ -244,7 +244,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Graph {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         g.insert(
             Term::iri("http://optimatch/qep#pop5"),
             Term::iri("http://optimatch/pred#hasPopType"),
@@ -260,7 +260,7 @@ mod tests {
             Term::iri("http://optimatch/pred#hasInnerInputStream"),
             Term::bnode("bnodeOfPop3_to_pop2"),
         );
-        g
+        g.build()
     }
 
     #[test]
@@ -280,13 +280,13 @@ mod tests {
         // backslashes, and stray control bytes; all must survive a
         // serialize → parse cycle.
         let nasty = "T1.C1\t= 'a\\b'\r\nAND\u{0}\u{B}\u{1F} T2.C2 = \"x\"";
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         g.insert(
             Term::iri("http://optimatch/qep#pop3"),
             Term::iri("http://optimatch/pred#hasPredicateText"),
             Term::lit_str(nasty),
         );
-        let text = to_ntriples(&g);
+        let text = to_ntriples(&g.build());
         // The serialized form must be a single clean line: no raw
         // control characters anywhere.
         let line = text.trim_end_matches('\n');

@@ -14,13 +14,6 @@ use std::hash::{Hash, Hasher};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
-impl TermId {
-    /// The smallest possible id; useful for forming index range bounds.
-    pub const MIN: TermId = TermId(0);
-    /// The largest possible id; useful for forming index range bounds.
-    pub const MAX: TermId = TermId(u32::MAX);
-}
-
 /// An append-only intern table for RDF terms.
 ///
 /// The reverse index (term → id) is a linear-probing hash table whose

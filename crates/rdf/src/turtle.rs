@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::graph::Graph;
+use crate::graph::{Graph, GraphBuilder};
 use crate::term::{Literal, Term};
 
 /// A namespace prefix table for compacting IRIs when writing Turtle.
@@ -137,7 +137,7 @@ pub fn from_turtle(input: &str) -> Result<Graph, TurtleParseError> {
         pos: 0,
         prefixes: HashMap::new(),
     };
-    let mut graph = Graph::new();
+    let mut graph = GraphBuilder::new();
     p.skip_trivia();
     while !p.at_end() {
         if p.peek_str("@prefix") {
@@ -147,7 +147,7 @@ pub fn from_turtle(input: &str) -> Result<Graph, TurtleParseError> {
         }
         p.skip_trivia();
     }
-    Ok(graph)
+    Ok(graph.build())
 }
 
 struct TurtleParser<'a> {
@@ -219,7 +219,7 @@ impl<'a> TurtleParser<'a> {
         Ok(())
     }
 
-    fn statement(&mut self, graph: &mut Graph) -> Result<(), TurtleParseError> {
+    fn statement(&mut self, graph: &mut GraphBuilder) -> Result<(), TurtleParseError> {
         let subject = self.term()?;
         loop {
             self.skip_trivia();
@@ -509,13 +509,13 @@ mod tests {
     #[test]
     fn control_characters_in_literals_round_trip() {
         let nasty = "Q1.ID\t= Q2.ID\r\nAND\u{C} NAME LIKE '%\\%'";
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         g.insert(
             Term::iri("http://optimatch/qep#pop4"),
             Term::iri("http://optimatch/pred#hasPredicateText"),
             Term::lit_str(nasty),
         );
-        let ttl = to_turtle(&g, &PrefixMap::new());
+        let ttl = to_turtle(&g.build(), &PrefixMap::new());
         assert!(ttl.contains("\\u000C"));
         let g2 = from_turtle(&ttl).unwrap();
         assert!(g2.contains(
@@ -540,7 +540,7 @@ mod tests {
 
     #[test]
     fn groups_by_subject_like_figure_2() {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         let pm = {
             let mut pm = PrefixMap::new();
             pm.add("pop", "http://optimatch/qep#");
@@ -557,7 +557,7 @@ mod tests {
             Term::iri("http://optimatch/pred#hasTotalCost"),
             Term::lit_str("15771.0"),
         );
-        let ttl = to_turtle(&g, &pm);
+        let ttl = to_turtle(&g.build(), &pm);
         assert!(ttl.contains("@prefix pop: <http://optimatch/qep#> ."));
         // Subject appears once; second predicate continues with ';'.
         assert_eq!(ttl.matches("pop:pop5").count(), 1);
@@ -567,7 +567,7 @@ mod tests {
 
     #[test]
     fn empty_graph_writes_only_prefixes() {
-        let g = Graph::new();
+        let g = Graph::default();
         let mut pm = PrefixMap::new();
         pm.add("p", "http://x/");
         let ttl = to_turtle(&g, &pm);
@@ -575,7 +575,7 @@ mod tests {
     }
 
     fn sample_graph() -> Graph {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         g.insert(
             Term::iri("http://optimatch/qep#pop5"),
             Term::iri("http://optimatch/pred#hasPopType"),
@@ -591,7 +591,7 @@ mod tests {
             Term::iri("http://optimatch/pred#hasInnerInputStream"),
             Term::bnode("b0"),
         );
-        g
+        g.build()
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Property-based tests for the RDF substrate: N-Triples round-trips,
-//! index consistency across all binding shapes, and numeric lexical laws.
+//! index consistency across all binding shapes, scan counts and statistics
+//! against brute force, and numeric lexical laws.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
 use optimatch_rdf::ntriples::{from_ntriples, to_ntriples};
 use optimatch_rdf::numeric::{format_double, parse_numeric};
-use optimatch_rdf::{Graph, Term};
+use optimatch_rdf::{Graph, GraphBuilder, GraphStats, PredicateStats, Term, TermId};
 
 /// Strategy for IRI-safe strings (no `>` or control chars).
 fn iri_string() -> impl Strategy<Value = String> {
@@ -34,12 +37,57 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
         0..40,
     )
     .prop_map(|triples| {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         for (s, p, o) in triples {
             g.insert(s, p, o);
         }
-        g
+        g.build()
     })
+}
+
+/// Graphs over a vocabulary of six IRIs and two literals, so one term
+/// recurs as subject, predicate and object, and triples are inserted
+/// more than once.
+fn arb_dense_graph() -> impl Strategy<Value = Graph> {
+    let node = |i: u8| match i {
+        0..=5 => Term::iri(format!("v{i}")),
+        _ => Term::lit_str(format!("l{i}")),
+    };
+    proptest::collection::vec((0u8..6, 0u8..3, 0u8..8, 1usize..3), 0..40).prop_map(move |triples| {
+        let mut g = GraphBuilder::new();
+        for (s, p, o, copies) in triples {
+            for _ in 0..copies {
+                g.insert(node(s), node(p), node(o));
+            }
+        }
+        g.build()
+    })
+}
+
+/// `stats()` recounted from `iter_ids`: per predicate, its triples and its
+/// distinct subjects and objects.
+fn brute_force_stats(g: &Graph) -> GraphStats {
+    let mut by_predicate: BTreeMap<TermId, (usize, BTreeSet<TermId>, BTreeSet<TermId>)> =
+        BTreeMap::new();
+    for [s, p, o] in g.iter_ids() {
+        let (count, subjects, objects) = by_predicate.entry(p).or_default();
+        *count += 1;
+        subjects.insert(s);
+        objects.insert(o);
+    }
+    GraphStats {
+        triples: g.iter_ids().count(),
+        terms: g.pool().len(),
+        predicates: by_predicate
+            .into_iter()
+            .map(|(predicate, (count, subjects, objects))| PredicateStats {
+                predicate,
+                count,
+                distinct_subjects: subjects.len(),
+                distinct_objects: objects.len(),
+            })
+            .collect(),
+    }
 }
 
 proptest! {
@@ -76,6 +124,41 @@ proptest! {
         }
     }
 
+    /// Every binding shape, with each bound position drawn from the whole
+    /// term pool (so many probes hit an empty range of interned terms),
+    /// scans exactly the triples that filtering a full scan keeps, and
+    /// the scan's length is their count. The statistics agree with a
+    /// brute-force count.
+    #[test]
+    fn scans_and_stats_match_brute_force(
+        g in arb_dense_graph(),
+        probes in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 16),
+    ) {
+        let pool = g.pool().len() as u32;
+        for (a, b, c) in probes {
+            let pick = |x: u32| TermId(x % pool.max(1));
+            for mask in 0u8..8 {
+                let s = (mask & 1 != 0).then(|| pick(a));
+                let p = (mask & 2 != 0).then(|| pick(b));
+                let o = (mask & 4 != 0).then(|| pick(c));
+                let expected: BTreeSet<_> = g
+                    .iter_ids()
+                    .filter(|&[ts, tp, to]| {
+                        s.is_none_or(|s| s == ts)
+                            && p.is_none_or(|p| p == tp)
+                            && o.is_none_or(|o| o == to)
+                    })
+                    .collect();
+                let scan = g.matching_ids(s, p, o);
+                prop_assert_eq!(scan.len(), expected.len());
+                let found: Vec<_> = scan.collect();
+                prop_assert_eq!(found.len(), expected.len());
+                prop_assert_eq!(found.into_iter().collect::<BTreeSet<_>>(), expected);
+            }
+        }
+        prop_assert_eq!(g.stats(), &brute_force_stats(&g));
+    }
+
     /// Inserting the same triples in any order yields the same graph.
     #[test]
     fn insertion_order_irrelevant(
@@ -83,10 +166,11 @@ proptest! {
             (arb_term(), iri_string().prop_map(Term::iri), arb_term()), 1..20),
         seed in any::<u64>(),
     ) {
-        let mut g1 = Graph::new();
+        let mut g1 = GraphBuilder::new();
         for (s, p, o) in &triples {
             g1.insert(s.clone(), p.clone(), o.clone());
         }
+        let g1 = g1.build();
         let mut shuffled = triples.clone();
         // Cheap deterministic shuffle.
         let n = shuffled.len();
@@ -94,10 +178,11 @@ proptest! {
             let j = ((seed.wrapping_mul(6364136223846793005).wrapping_add(i as u64)) % n as u64) as usize;
             shuffled.swap(i, j);
         }
-        let mut g2 = Graph::new();
+        let mut g2 = GraphBuilder::new();
         for (s, p, o) in shuffled {
             g2.insert(s, p, o);
         }
+        let g2 = g2.build();
         prop_assert_eq!(g1.len(), g2.len());
         for (s, p, o) in g1.iter() {
             prop_assert!(g2.contains(&s, &p, &o));

@@ -284,7 +284,8 @@ fn read_term(c: &mut Cursor<'_>) -> Result<Term, WireError> {
 }
 
 fn put_graph(buf: &mut Vec<u8>, graph: &Graph) {
-    put_u64(buf, graph.bnode_counter());
+    // A retired slot, always 0, kept so the record layout is unchanged.
+    put_u64(buf, 0);
     put_u32(buf, graph.pool().len() as u32);
     for (_, term) in graph.pool().iter() {
         put_term(buf, term);
@@ -298,7 +299,7 @@ fn put_graph(buf: &mut Vec<u8>, graph: &Graph) {
 }
 
 fn read_graph(c: &mut Cursor<'_>) -> Result<Graph, WireError> {
-    let next_bnode = c.u64("bnode counter")?;
+    c.u64("retired graph slot")?;
     let n_terms = c.count(5, "graph terms")?;
     let mut terms = Vec::with_capacity(n_terms);
     for _ in 0..n_terms {
@@ -316,7 +317,7 @@ fn read_graph(c: &mut Cursor<'_>) -> Result<Graph, WireError> {
             ]
         })
         .collect();
-    Graph::from_parts(terms, &triples, next_bnode).map_err(|e| WireError(e.to_string()))
+    Graph::from_parts(terms, &triples).map_err(|e| WireError(e.to_string()))
 }
 
 impl RepoRecord {
@@ -377,6 +378,7 @@ mod tests {
     use super::*;
     use crate::store::FORMAT_VERSION;
     use optimatch_qep::fixtures;
+    use optimatch_rdf::GraphBuilder;
 
     fn decode(payload: &[u8]) -> Result<RepoRecord, WireError> {
         RepoRecord::decode(payload, FORMAT_VERSION)
@@ -402,14 +404,17 @@ mod tests {
     /// A graph with every term kind, built with a deliberately non-sorted
     /// interning order.
     fn sample_graph() -> Graph {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         g.insert(
             Term::iri("http://x/b"),
             Term::iri("http://x/p"),
             Term::lit_str("TBSCAN"),
         );
-        let b = g.fresh_bnode("n");
-        g.insert(Term::iri("http://x/a"), Term::iri("http://x/p"), b);
+        g.insert(
+            Term::iri("http://x/a"),
+            Term::iri("http://x/p"),
+            Term::bnode("n0"),
+        );
         g.insert(
             Term::iri("http://x/a"),
             Term::iri("http://x/q"),
@@ -423,7 +428,7 @@ mod tests {
                 lang: "en".into(),
             }),
         );
-        g
+        g.build()
     }
 
     fn sample_record() -> RepoRecord {
@@ -456,7 +461,6 @@ mod tests {
         for (id, term) in rec.graph.pool().iter() {
             assert_eq!(back.graph.term(id), term);
         }
-        assert_eq!(back.graph.bnode_counter(), rec.graph.bnode_counter());
         // And re-encoding is byte-identical (canonical form).
         assert_eq!(back.encode(), rec.encode());
     }
@@ -505,7 +509,7 @@ mod tests {
                 source_file: format!("{}.qep", qep.id),
                 labels: Vec::new(),
                 qep,
-                graph: Graph::new(),
+                graph: Graph::default(),
             };
             let back = decode(&rec.encode()).unwrap();
             assert_eq!(back.qep, rec.qep);

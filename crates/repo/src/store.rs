@@ -846,12 +846,12 @@ fn sequential_scan(
 mod tests {
     use super::*;
     use optimatch_qep::fixtures;
-    use optimatch_rdf::{Graph, Term};
+    use optimatch_rdf::{GraphBuilder, Term};
 
     fn record(id: &str, qep: optimatch_qep::Qep) -> RepoRecord {
         let mut qep = qep;
         qep.id = id.to_string();
-        let mut graph = Graph::new();
+        let mut graph = GraphBuilder::new();
         graph.insert(
             Term::iri(format!("http://x/{id}")),
             Term::iri("http://x/hasPopType"),
@@ -862,7 +862,7 @@ mod tests {
             source_file: format!("{id}.qep"),
             labels: vec![format!("label-of-{id}")],
             qep,
-            graph,
+            graph: graph.build(),
         }
     }
 

@@ -12,14 +12,14 @@
 use std::path::PathBuf;
 
 use optimatch_qep::fixtures;
-use optimatch_rdf::{Graph, Term};
+use optimatch_rdf::{GraphBuilder, Term};
 use optimatch_repo::vfs::SimFs;
 use optimatch_repo::{RepoError, RepoRecord, Repository};
 
 fn record(id: &str, qep: optimatch_qep::Qep) -> RepoRecord {
     let mut qep = qep;
     qep.id = id.to_string();
-    let mut graph = Graph::new();
+    let mut graph = GraphBuilder::new();
     graph.insert(
         Term::iri(format!("http://optimatch/qep/{id}")),
         Term::iri("http://optimatch/hasPopType"),
@@ -30,7 +30,7 @@ fn record(id: &str, qep: optimatch_qep::Qep) -> RepoRecord {
         source_file: format!("{id}.qep"),
         labels: Vec::new(),
         qep,
-        graph,
+        graph: graph.build(),
     }
 }
 

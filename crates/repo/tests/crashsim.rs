@@ -31,14 +31,14 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use optimatch_qep::fixtures;
-use optimatch_rdf::{Graph, Term};
+use optimatch_rdf::{GraphBuilder, Term};
 use optimatch_repo::vfs::{crash_images, SimFs, TraceOp};
 use optimatch_repo::{RepoRecord, Repository};
 
 fn record(id: &str, qep: optimatch_qep::Qep) -> RepoRecord {
     let mut qep = qep;
     qep.id = id.to_string();
-    let mut graph = Graph::new();
+    let mut graph = GraphBuilder::new();
     graph.insert(
         Term::iri(format!("http://optimatch/qep/{id}")),
         Term::iri("http://optimatch/hasPopType"),
@@ -49,7 +49,7 @@ fn record(id: &str, qep: optimatch_qep::Qep) -> RepoRecord {
         source_file: format!("{id}.qep"),
         labels: Vec::new(),
         qep,
-        graph,
+        graph: graph.build(),
     }
 }
 

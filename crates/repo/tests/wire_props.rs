@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use optimatch_qep::fixtures;
-use optimatch_rdf::{Graph, Term};
+use optimatch_rdf::{GraphBuilder, Term};
 use optimatch_repo::vfs::SimFs;
 use optimatch_repo::wire::Cursor;
 use optimatch_repo::{RepoRecord, Repository};
@@ -17,7 +17,7 @@ use optimatch_repo::{RepoRecord, Repository};
 fn record(id: &str, qep: optimatch_qep::Qep) -> RepoRecord {
     let mut qep = qep;
     qep.id = id.to_string();
-    let mut graph = Graph::new();
+    let mut graph = GraphBuilder::new();
     graph.insert(
         Term::iri(format!("http://optimatch/qep/{id}")),
         Term::iri("http://optimatch/hasPopType"),
@@ -28,7 +28,7 @@ fn record(id: &str, qep: optimatch_qep::Qep) -> RepoRecord {
         source_file: format!("{id}.qep"),
         labels: vec!["label-a".to_string()],
         qep,
-        graph,
+        graph: graph.build(),
     }
 }
 

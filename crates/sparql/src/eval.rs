@@ -715,11 +715,12 @@ fn extend_row(row: &Row, tp: &TriplePlan, ms: TermId, mo: TermId) -> Option<Row>
 mod tests {
     use super::*;
     use crate::{execute, parse_query};
+    use optimatch_rdf::GraphBuilder;
 
     /// The Figure-1 plan as a graph: NLJOIN(2) with FETCH(3) outer (over
     /// IXSCAN(4) over SALES_FACT) and TBSCAN(5) inner over CUST_DIM.
     fn fig1_graph() -> Graph {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         let pred = |n: &str| Term::iri(format!("http://optimatch/pred#{n}"));
         let pop = |n: u32| Term::iri(format!("http://optimatch/qep#pop{n}"));
         let t = |s: &str| Term::lit_str(s);
@@ -740,7 +741,7 @@ mod tests {
         g.insert(pop(5), pred("hasInputStream"), pop(7));
         g.insert(pop(6), pred("isABaseObj"), Term::lit_str("SALES_FACT"));
         g.insert(pop(7), pred("isABaseObj"), Term::lit_str("CUST_DIM"));
-        g
+        g.build()
     }
 
     const PFX: &str = "PREFIX p: <http://optimatch/pred#>\n";
@@ -882,9 +883,10 @@ mod tests {
 
     #[test]
     fn repeated_variable_requires_equality() {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         g.insert(Term::iri("a"), Term::iri("p:self"), Term::iri("a"));
         g.insert(Term::iri("b"), Term::iri("p:self"), Term::iri("c"));
+        let g = g.build();
         let t = execute(&g, "SELECT ?x WHERE { ?x <p:self> ?x . }").unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(0, "x"), Some(&Term::iri("a")));
@@ -993,7 +995,7 @@ mod tests {
 
     #[test]
     fn group_by_with_count_and_sum() {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         let card = Term::iri("p:card");
         let ty = Term::iri("p:type");
         for (name, t, c) in [
@@ -1004,6 +1006,7 @@ mod tests {
             g.insert(Term::iri(name), ty.clone(), Term::lit_str(t));
             g.insert(Term::iri(name), card.clone(), Term::lit_double(c));
         }
+        let g = g.build();
         let q = "SELECT ?t (COUNT(?pop) AS ?n) (SUM(?c) AS ?total) (AVG(?c) AS ?mean)
                  WHERE { ?pop <p:type> ?t . ?pop <p:card> ?c . }
                  GROUP BY ?t ORDER BY ?t";

@@ -23,12 +23,13 @@
 //! ## Example
 //!
 //! ```
-//! use optimatch_rdf::{Graph, Term};
+//! use optimatch_rdf::{GraphBuilder, Term};
 //! use optimatch_sparql::execute;
 //!
-//! let mut g = Graph::new();
-//! g.insert(Term::iri("q:pop3"), Term::iri("p:hasPopType"), Term::lit_str("TBSCAN"));
-//! g.insert(Term::iri("q:pop3"), Term::iri("p:hasEstimateCardinality"), Term::lit_str("4043.0"));
+//! let mut b = GraphBuilder::new();
+//! b.insert(Term::iri("q:pop3"), Term::iri("p:hasPopType"), Term::lit_str("TBSCAN"));
+//! b.insert(Term::iri("q:pop3"), Term::iri("p:hasEstimateCardinality"), Term::lit_str("4043.0"));
+//! let g = b.build();
 //!
 //! let table = execute(&g, r#"
 //!     SELECT ?pop WHERE {

@@ -244,11 +244,11 @@ fn all_pairs(graph: &Graph, path: &CPath, budget: &Budget) -> Vec<(TermId, TermI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optimatch_rdf::Term;
+    use optimatch_rdf::{GraphBuilder, Term};
 
     /// A small plan-shaped graph: 1 -in-> 2 -in-> 3 -in-> 4, 2 -out-> 1.
     fn chain() -> (Graph, Vec<TermId>) {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<Term> = (1..=4).map(|i| Term::iri(format!("q:pop{i}"))).collect();
         let inp = Term::iri("p:in");
         let out = Term::iri("p:out");
@@ -256,6 +256,7 @@ mod tests {
         g.insert(n[1].clone(), inp.clone(), n[2].clone());
         g.insert(n[2].clone(), inp.clone(), n[3].clone());
         g.insert(n[1].clone(), out.clone(), n[0].clone());
+        let g = g.build();
         let ids = n.iter().map(|t| g.term_id(t).unwrap()).collect();
         (g, ids)
     }
@@ -446,12 +447,13 @@ mod tests {
 
     #[test]
     fn cycles_terminate() {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         let a = Term::iri("a");
         let b = Term::iri("b");
         let inp = Term::iri("p:in");
         g.insert(a.clone(), inp.clone(), b.clone());
         g.insert(b.clone(), inp.clone(), a.clone());
+        let g = g.build();
         let path = p(&g, "<p:in>+");
         let ida = g.term_id(&a).unwrap();
         let pairs = eval_path(

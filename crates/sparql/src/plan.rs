@@ -2,8 +2,8 @@
 //! procedure, and its `EXPLAIN` rendering.
 //!
 //! The estimator turns the per-graph [`GraphStats`] (per-predicate triple
-//! counts and distinct subject/object counts, cached on the
-//! [`Graph`]) into row estimates per triple pattern:
+//! counts and distinct subject/object counts, computed when the
+//! [`Graph`] is built) into row estimates per triple pattern:
 //!
 //! * plain predicate, subject bound — the predicate's average *fan-out*
 //!   (`count / distinct_subjects`);
@@ -35,7 +35,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt::{self, Write};
-use std::sync::Arc;
 
 use optimatch_rdf::{Graph, GraphStats, IndexChoice, Term};
 
@@ -185,7 +184,7 @@ pub(crate) struct Step<'a> {
 pub(crate) struct BgpSteps<'a> {
     graph: &'a Graph,
     /// Statistics for greedy ordering; `None` in source order.
-    stats: Option<Arc<GraphStats>>,
+    stats: Option<&'a GraphStats>,
     /// Patterns not yet yielded, with their source positions.
     remaining: Vec<(usize, &'a TriplePlan)>,
     /// One flag per variable slot.
@@ -217,7 +216,7 @@ impl<'a> Iterator for BgpSteps<'a> {
         // Greedy: price every remaining pattern under the current bound
         // flags and take the cheapest. Ties keep source order (the first
         // minimum wins), so equal-cost patterns never reorder.
-        let (pick, estimate) = match &self.stats {
+        let (pick, estimate) = match self.stats {
             None => (0, None),
             Some(stats) => {
                 let mut best = (0, estimate_pattern(self.graph, stats, first, &self.bound));
@@ -746,10 +745,11 @@ mod tests {
     use crate::algebra::translate;
     use crate::parser::parse;
     use crate::Budget;
+    use optimatch_rdf::GraphBuilder;
 
     /// The Figure-1 style plan graph used across the evaluator tests.
     fn fig1_graph() -> Graph {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         let pred = |n: &str| Term::iri(format!("http://optimatch/pred#{n}"));
         let pop = |n: u32| Term::iri(format!("http://optimatch/qep#pop{n}"));
         let t = |s: &str| Term::lit_str(s);
@@ -764,7 +764,7 @@ mod tests {
         g.insert(pop(3), pred("hasInputStream"), pop(4));
         g.insert(pop(5), pred("hasInputStream"), pop(7));
         g.insert(pop(7), pred("isABaseObj"), Term::lit_str("CUST_DIM"));
-        g
+        g.build()
     }
 
     const PFX: &str = "PREFIX p: <http://optimatch/pred#>\n";
@@ -782,8 +782,8 @@ mod tests {
         ));
         let Node::Bgp(tps) = &plan.root else { panic!() };
         let bound = vec![false; plan.vars.len()];
-        let scan = estimate_pattern(&g, &stats, &tps[0], &bound);
-        let probe = estimate_pattern(&g, &stats, &tps[1], &bound);
+        let scan = estimate_pattern(&g, stats, &tps[0], &bound);
+        let probe = estimate_pattern(&g, stats, &tps[1], &bound);
         // Object-bound fan-in (≈1) beats the full predicate scan (4 rows).
         assert!(probe.cost < scan.cost, "{probe:?} !< {scan:?}");
         assert_eq!(scan.access, Access::Index(IndexChoice::Pos));
@@ -797,7 +797,7 @@ mod tests {
         let stats = g.stats();
         let plan = compiled(&format!("{PFX}SELECT ?a WHERE {{ ?a p:neverSeen ?b . }}"));
         let Node::Bgp(tps) = &plan.root else { panic!() };
-        let est = estimate_pattern(&g, &stats, &tps[0], &vec![false; plan.vars.len()]);
+        let est = estimate_pattern(&g, stats, &tps[0], &vec![false; plan.vars.len()]);
         assert_eq!(est.rows, 0.0);
         assert_eq!(est.cost, 0.0);
     }
@@ -811,14 +811,14 @@ mod tests {
             "{PFX}SELECT ?a WHERE {{ ?a p:hasInputStream+ <http://optimatch/qep#pop7> . }}"
         ));
         let Node::Bgp(tps) = &plan.root else { panic!() };
-        let est = estimate_pattern(&g, &stats, &tps[0], &vec![false; plan.vars.len()]);
+        let est = estimate_pattern(&g, stats, &tps[0], &vec![false; plan.vars.len()]);
         assert_eq!(est.access, Access::Path(PathDirection::Backward));
 
         let plan = compiled(&format!(
             "{PFX}SELECT ?b WHERE {{ <http://optimatch/qep#pop2> p:hasInputStream+ ?b . }}"
         ));
         let Node::Bgp(tps) = &plan.root else { panic!() };
-        let est = estimate_pattern(&g, &stats, &tps[0], &vec![false; plan.vars.len()]);
+        let est = estimate_pattern(&g, stats, &tps[0], &vec![false; plan.vars.len()]);
         assert_eq!(est.access, Access::Path(PathDirection::Forward));
     }
 
@@ -904,13 +904,13 @@ mod tests {
         // An alternation needs at least one of its branches present.
         let any = "SELECT ?a WHERE { ?a (p:neverSeen|p:hasInputStream)+ ?b . }";
         assert!(may(any));
-        let mut no_streams = Graph::new();
+        let mut no_streams = GraphBuilder::new();
         no_streams.insert(
             Term::iri("http://optimatch/qep#pop1"),
             Term::iri("http://optimatch/pred#hasPopType"),
             Term::lit_str("RETURN"),
         );
-        assert!(!required(any).may_match(&no_streams));
+        assert!(!required(any).may_match(&no_streams.build()));
         // A bare predicate probe that a bound probe implies is dropped.
         let q = "SELECT ?a WHERE { ?a p:hasPopType ?t . ?a p:hasPopType \"TBSCAN\" . }";
         assert_eq!(required(q).clauses.len(), 1);
@@ -955,10 +955,11 @@ mod tests {
     fn path_direction_is_the_walk_evaluation_takes() {
         // Five subjects reach one object: walking back from the object
         // seeds the closure from one node instead of five.
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         for i in 0..5 {
             g.insert(Term::iri(format!("s{i}")), Term::iri("p"), Term::iri("o"));
         }
+        let g = g.build();
         let plan = compiled("SELECT * WHERE { ?x <p>+ ?y . }");
         let direction = |optimize| {
             explain_plan(&g, &plan, PlanOptions::default().optimize(optimize)).steps[0].direction
@@ -977,10 +978,11 @@ mod tests {
     fn variable_predicate_is_bound_after_its_step() {
         // `?p` is bound by the first step, so the second probes POS with
         // its predicate and object, exactly as `Graph::matching_ids` does.
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         g.insert(Term::iri("s0"), Term::iri("p1"), Term::iri("o1"));
         g.insert(Term::iri("s1"), Term::iri("p1"), Term::iri("o2"));
         g.insert(Term::iri("s2"), Term::iri("p2"), Term::iri("o2"));
+        let g = g.build();
         let plan = compiled("SELECT * WHERE { <s0> ?p ?o . ?x ?p <o2> . }");
         for optimize in [true, false] {
             let options = PlanOptions::default().optimize(optimize);

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use optimatch_rdf::{Graph, Term};
+use optimatch_rdf::{Graph, GraphBuilder, Term};
 use optimatch_sparql::algebra::translate;
 use optimatch_sparql::eval::evaluate;
 use optimatch_sparql::{execute, parse_query, Budget, PlanOptions};
@@ -39,7 +39,7 @@ fn arb_tree(max: usize) -> impl Strategy<Value = TreeSpec> {
 }
 
 fn build_graph(spec: &TreeSpec) -> Graph {
-    let mut g = Graph::new();
+    let mut g = GraphBuilder::new();
     let node = |i: usize| Term::iri(format!("q:pop{i}"));
     for i in 0..spec.types.len() {
         g.insert(
@@ -57,7 +57,7 @@ fn build_graph(spec: &TreeSpec) -> Graph {
         let child = child0 + 1;
         g.insert(node(parent), Term::iri("p:in"), node(child));
     }
-    g
+    g.build()
 }
 
 /// Reference implementation of descendant reachability on the spec.
@@ -175,12 +175,14 @@ fn parse_once_execute_many_is_consistent() {
         .unwrap(),
     )
     .unwrap();
-    let mut g1 = Graph::new();
+    let mut g1 = GraphBuilder::new();
     g1.insert(Term::iri("a"), Term::iri("p:type"), Term::lit_str("TBSCAN"));
     g1.insert(Term::iri("a"), Term::iri("p:card"), Term::lit_str("100"));
-    let mut g2 = Graph::new();
+    let g1 = g1.build();
+    let mut g2 = GraphBuilder::new();
     g2.insert(Term::iri("b"), Term::iri("p:type"), Term::lit_str("TBSCAN"));
     g2.insert(Term::iri("b"), Term::iri("p:card"), Term::lit_str("10"));
+    let g2 = g2.build();
 
     let rows = |g: &Graph| {
         evaluate(g, &q, PlanOptions::default(), &Budget::unlimited())

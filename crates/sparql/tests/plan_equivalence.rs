@@ -4,7 +4,7 @@
 //! source-order oracle. Seeded xorshift generation keeps every case
 //! reproducible from its printed seed.
 
-use optimatch_rdf::{Graph, Term};
+use optimatch_rdf::{Graph, GraphBuilder, Term};
 use optimatch_sparql::algebra::translate;
 use optimatch_sparql::eval::evaluate;
 use optimatch_sparql::{parse_query, Budget, PlanOptions};
@@ -37,7 +37,7 @@ const PREDS: [&str; 5] = ["p:in", "p:out", "p:type", "p:card", "p:base"];
 /// small predicate vocabulary plus literal-valued attributes — the same
 /// shape as transformed QEPs (sparse, few predicates, shallow trees).
 fn random_graph(rng: &mut Rng) -> Graph {
-    let mut g = Graph::new();
+    let mut g = GraphBuilder::new();
     let nodes = 4 + rng.below(6);
     let edges = 6 + rng.below(14);
     for _ in 0..edges {
@@ -50,7 +50,7 @@ fn random_graph(rng: &mut Rng) -> Graph {
         };
         g.insert(s, Term::iri(p), o);
     }
-    g
+    g.build()
 }
 
 /// A random path expression over the predicate vocabulary.
