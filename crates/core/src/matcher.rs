@@ -398,6 +398,37 @@ mod tests {
             .any(|mm| mm.binding("TOP").and_then(|t| t.pop_id()) == Some(5)));
     }
 
+    /// The greedy plan of Pattern B on Figure 7. It must start from the
+    /// exact-count left-outer-join probe and reach `?pop1` by walking the
+    /// outer stream bundle backward from `?pop2`, never by scanning every
+    /// operator's type (a cartesian product with the bound joins).
+    #[test]
+    fn pattern_b_explain_on_figure7_is_pinned() {
+        let m = Matcher::compile(&builtin::pattern_b().pattern).unwrap();
+        let fig7 = TransformedQep::new(fixtures::fig7());
+        // Predicate IRIs shortened to their local names for legibility.
+        let text = m
+            .explain(&fig7, PlanOptions::default())
+            .render()
+            .replace("http://optimatch/pred#", "");
+        let bundle = "((<hasInputStream>|<hasOuterInputStream>)|<hasInnerInputStream>)";
+        let expected = format!(
+            "filter
+  filter
+    filter
+      bgp (7 patterns, greedy order)
+        1 ?pop2 <hasJoinType> \"LEFT OUTER\"  est=2.0 index=Pos (reordered from #5)
+        2 ?pop2 <hasPopType> ?internalHandler2  est=1.0 index=Spo (reordered from #4)
+        3 ?pop3 <hasJoinType> \"LEFT OUTER\"  est=2.0 index=Pos (reordered from #7)
+        4 ?pop3 <hasPopType> ?internalHandler3  est=1.0 index=Spo (reordered from #6)
+        5 ?pop1 <hasOuterInputStream>/<hasOuterInputStream>/{bundle}/{bundle}* ?pop2  est=4.0 path=backward (reordered from #2)
+        6 ?pop1 <hasPopType> ?internalHandler1  est=1.0 index=Spo
+        7 ?pop1 <hasInnerInputStream>/<hasInnerInputStream>/{bundle}/{bundle}* ?pop3  est=1.0 path=forward
+"
+        );
+        assert_eq!(text, expected);
+    }
+
     #[test]
     fn pattern_c_matches_figures7_and_8() {
         // Both contain an IXSCAN with collapsed cardinality over a huge
