@@ -6,7 +6,7 @@
 //! ```
 //!
 //! * `fig9`     — search time vs. workload size (100..1000 QEPs × 3 patterns)
-//! * `fig10`    — per-QEP time vs. LOLEPOP bucket
+//! * `fig10`    — per-QEP time and fuel vs. LOLEPOP bucket
 //! * `fig11`    — KB-scan time vs. number of recommendations (1/10/100/250)
 //! * `fig12`    — user study: manual (simulated) vs. OptImatch wall time
 //! * `table1`   — manual-search precision vs. the tool's
@@ -20,16 +20,14 @@
 
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use optimatch_bench::{linear_fit, paper_workload, transform_all, EXPERIMENT_SEED};
 use optimatch_core::builtin::{self, synthetic_kb};
 use optimatch_core::{Matcher, ScanOptions, SearchOutcome, TransformedQep};
+use optimatch_sparql::Budget;
 use optimatch_workload::manual::{precision, GrepExpert, ManualTimeModel};
 use optimatch_workload::{
-    generate_workload, study_workload, GeneratorConfig, InjectionConfig, PatternId, PlanGenerator,
-    WorkloadConfig,
+    generate_workload, sized_workloads, study_workload, GeneratorConfig, InjectionConfig,
+    PatternId, WorkloadConfig, SIZE_BUCKETS,
 };
 
 fn main() {
@@ -273,68 +271,57 @@ fn fig9(quick: bool) {
     println!();
 }
 
-/// Figure 10: per-QEP time vs. LOLEPOP bucket.
+/// Figure 10: per-QEP time and fuel vs. LOLEPOP bucket, on sized plans
+/// that each carry one instance of every evaluation pattern, so every
+/// pattern does its matching work in every bucket.
 fn fig10() {
     println!("## Figure 10 — per-QEP search time vs. number of LOLEPOPs");
     println!();
-    // Paper buckets: 1..5 are [0-50]..[200-250]; bucket 11 is [500-550].
-    let buckets: [(usize, &str); 6] = [
-        (25, "[0-50]"),
-        (75, "[50-100]"),
-        (125, "[100-150]"),
-        (175, "[150-200]"),
-        (225, "[200-250]"),
-        (525, "[500-550]"),
-    ];
-    let per_bucket = 6; // the paper repeats 6 times per bucket
     let entries = builtin::evaluation_entries();
     let matchers: Vec<Matcher> = entries
         .iter()
         .map(|e| Matcher::compile(&e.pattern).expect("compiles"))
         .collect();
 
-    let mut rng = StdRng::seed_from_u64(EXPERIMENT_SEED);
-    let mut generator = PlanGenerator::new(GeneratorConfig::default());
-
     println!(
         "| Bucket | mean ops | {} |",
         entries
             .iter()
-            .map(|e| pattern_label(&e.name))
+            .map(|e| format!("{} | fuel", pattern_label(&e.name)))
             .collect::<Vec<_>>()
             .join(" | ")
     );
-    println!("|---|---|{}", "---|".repeat(entries.len()));
+    println!("|---|---|{}", "---|---|".repeat(entries.len()));
 
     let mut xs = Vec::new();
     let mut ys_total = Vec::new();
-    for (target, label) in buckets {
-        let plans: Vec<TransformedQep> = (0..per_bucket)
-            .map(|i| {
-                TransformedQep::new(generator.generate_sized(
-                    &mut rng,
-                    &format!("b{target}_{i}"),
-                    target,
-                ))
-            })
-            .collect();
+    let mut fuel = vec![Vec::new(); matchers.len()];
+    for (w, (_, label)) in sized_workloads(EXPERIMENT_SEED, true)
+        .iter()
+        .zip(SIZE_BUCKETS)
+    {
+        let (plans, _) = transform_all(w);
         let mean_ops: f64 =
             plans.iter().map(|p| p.qep.op_count() as f64).sum::<f64>() / plans.len() as f64;
         let mut cells = Vec::new();
         let mut bucket_total = 0.0;
-        for matcher in &matchers {
+        for (mi, matcher) in matchers.iter().enumerate() {
             let start = Instant::now();
+            let mut spent = 0;
             // Repeat the per-plan match a few times for stable numbers.
             for _ in 0..5 {
                 for plan in &plans {
-                    let _ = matcher
-                        .find_traced(plan, &optimatch_sparql::Budget::unlimited(), true)
-                        .expect("matches");
+                    let budget = Budget::unlimited();
+                    matcher.find_traced(plan, &budget, true).expect("matches");
+                    spent += budget.spent();
                 }
             }
-            let per_qep = start.elapsed().as_secs_f64() / (5.0 * plans.len() as f64);
+            let runs = 5.0 * plans.len() as f64;
+            let per_qep = start.elapsed().as_secs_f64() / runs;
+            let fuel_per_qep = spent as f64 / runs;
             bucket_total += per_qep;
-            cells.push(format!("{:.3}ms", per_qep * 1e3));
+            fuel[mi].push(fuel_per_qep);
+            cells.push(format!("{:.3}ms | {fuel_per_qep:.0}", per_qep * 1e3));
         }
         println!("| {label} | {mean_ops:.0} | {} |", cells.join(" | "));
         xs.push(mean_ops);
@@ -346,6 +333,15 @@ fn fig10() {
         "* mean per-QEP time: slope {:.4} ms per LOLEPOP, linear fit R² = {r2:.4}",
         slope * 1e3
     );
+    // A least-squares line on a log-log scale; fuel below 1 counts as 1.
+    let ln = |v: &[f64]| v.iter().map(|y| y.max(1.0).ln()).collect::<Vec<f64>>();
+    for (entry, fuel) in entries.iter().zip(&fuel) {
+        let (exponent, _, _) = linear_fit(&ln(&xs), &ln(fuel));
+        println!(
+            "* {}: fuel per plan grows as ops^{exponent:.2} (log-log fit)",
+            pattern_label(&entry.name),
+        );
+    }
     println!();
 }
 

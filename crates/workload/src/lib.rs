@@ -14,7 +14,8 @@
 //!   generated plans at configurable rates (the paper's study workload has
 //!   15 / 12 / 18 matches per 100 QEPs for patterns #1–#3), recording
 //!   **ground truth** per QEP — which the paper obtained from expert
-//!   labeling;
+//!   labeling; [`sized_workloads`] builds Figure 10's plans per LOLEPOP
+//!   bucket, each with one instance of Patterns A–C;
 //! * [`manual`] — a deterministic simulation of manual `grep`-style
 //!   pattern search with the failure modes the paper documents (§3.3):
 //!   numbers read without their exponent suffix, and descendant searches
@@ -157,6 +158,55 @@ pub fn study_workload(seed: u64) -> Workload {
     Workload { qeps, truth }
 }
 
+/// Figure 10's LOLEPOP buckets: each one's target operator count and the
+/// paper's label. Buckets 1–5 are [0-50]..[200-250]; the paper's bucket
+/// 11 is [500-550].
+pub const SIZE_BUCKETS: [(usize, &str); 6] = [
+    (25, "[0-50]"),
+    (75, "[50-100]"),
+    (125, "[100-150]"),
+    (175, "[150-200]"),
+    (225, "[200-250]"),
+    (525, "[500-550]"),
+];
+
+/// Figure 10's plans: for each of the [`SIZE_BUCKETS`], in order, a
+/// workload of 6 plans (the paper repeats 6 times per bucket) generated
+/// in sequence from `seed`. With `inject`, every plan also receives one
+/// easy instance of each evaluation pattern (A, B and C), spliced with a
+/// second random stream, so the base plans are the same either way. The
+/// paper's injection rates would leave most buckets without a Pattern-B
+/// plan, and so without the matching work the figure measures.
+pub fn sized_workloads(seed: u64, inject: bool) -> Vec<Workload> {
+    use inject::{inject_pattern, Variant};
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut splice = StdRng::seed_from_u64(seed.wrapping_add(1));
+    let mut generator = PlanGenerator::new(GeneratorConfig::default());
+    let mut buckets = Vec::with_capacity(SIZE_BUCKETS.len());
+    for (target, _) in SIZE_BUCKETS {
+        let mut bucket = Workload {
+            qeps: Vec::new(),
+            truth: BTreeMap::new(),
+        };
+        for i in 0..6 {
+            let mut qep = generator.generate_sized(&mut rng, &format!("b{target}_{i}"), target);
+            let mut injected = Vec::new();
+            if inject {
+                for pattern in [PatternId::A, PatternId::B, PatternId::C] {
+                    if inject_pattern(&mut qep, &mut splice, pattern, Variant::Easy) {
+                        injected.push(pattern);
+                    }
+                }
+            }
+            bucket.truth.insert(qep.id.clone(), injected);
+            bucket.qeps.push(qep);
+        }
+        buckets.push(bucket);
+    }
+    buckets
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,6 +298,25 @@ mod tests {
         assert!((7..=25).contains(&a), "A: {a}");
         assert!((5..=22).contains(&b), "B: {b}");
         assert!((9..=28).contains(&c), "C: {c}");
+    }
+
+    #[test]
+    fn sized_workloads_inject_into_the_same_base_plans() {
+        let plain = sized_workloads(0xDB2, false);
+        let injected = sized_workloads(0xDB2, true);
+        assert_eq!(plain.len(), SIZE_BUCKETS.len());
+        for (p, i) in plain.iter().zip(&injected) {
+            assert_eq!(p.qeps.len(), 6);
+            assert!(p.truth.values().all(Vec::is_empty));
+            for (base, spliced) in p.qeps.iter().zip(&i.qeps) {
+                assert_eq!(base.id, spliced.id);
+                assert!(spliced.op_count() > base.op_count(), "{}", base.id);
+                // Every pattern finds a splice point, in every bucket.
+                let truth = &i.truth[&base.id];
+                assert_eq!(truth, &[PatternId::A, PatternId::B, PatternId::C]);
+                spliced.validate().unwrap();
+            }
+        }
     }
 
     #[test]
