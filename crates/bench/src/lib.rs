@@ -111,7 +111,7 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optimatch_core::{builtin, EvalStats, KnowledgeBase, PruneStats, ScanOptions};
+    use optimatch_core::{builtin, EvalStats, KnowledgeBase, PruneStats, ScanOptions, ScanOutcome};
 
     #[test]
     fn linear_fit_exact_line() {
@@ -139,12 +139,13 @@ mod tests {
         assert_eq!(a.qeps.len(), 10);
     }
 
-    /// Pins how much pruning prunes and how much the evaluator works on a
-    /// fixed mix of paper-shaped plans and prunable fillers: the exact
-    /// counters of a scan with the paper and the extended KB, with the
-    /// planner on and in source order. A pruner that quietly gets weaker
-    /// (or unsoundly stronger), or a planner that decides differently,
-    /// changes them.
+    /// Pins how much pruning prunes, how much the evaluator works and how
+    /// the scan ranks on a fixed mix of paper-shaped plans and prunable
+    /// fillers: the exact counters of a scan with the paper and the
+    /// extended KB, with the planner on and in source order, and the exact
+    /// bits of its confidence and cost-share sums. A pruner that quietly
+    /// gets weaker (or unsoundly stronger), a planner that decides
+    /// differently, or a ranking that scores differently changes them.
     #[test]
     fn prune_counts_are_pinned() {
         let mut qeps = paper_workload(12).qeps;
@@ -174,6 +175,24 @@ mod tests {
                     backward_paths,
                 }
             };
+        fn sum_bits(values: impl Iterator<Item = f64>) -> u64 {
+            values.sum::<f64>().to_bits()
+        }
+        // The recommendation and sample counts, then the bits of three
+        // sums: the samples' confidences, their cost shares, and the final
+        // (workload-weighted) recommendation confidences.
+        let ranking = |outcome: &ScanOutcome| {
+            let recommendations = outcome.reports.iter().flat_map(|r| &r.recommendations);
+            (
+                recommendations.clone().count(),
+                outcome.samples.len(),
+                [
+                    sum_bits(outcome.samples.iter().map(|s| s.confidence)),
+                    sum_bits(outcome.samples.iter().map(|s| s.cost_share)),
+                    sum_bits(recommendations.map(|r| r.confidence)),
+                ],
+            )
+        };
         let cases = [
             (
                 builtin::paper_kb(),
@@ -181,6 +200,15 @@ mod tests {
                 17_698,
                 planner([342, 168, 675, 5_367], [298, 40, 0, 2]),
                 369_793,
+                (
+                    10,
+                    10,
+                    [
+                        4_619_686_307_364_632_776,
+                        4_619_038_848_008_734_433,
+                        4_619_654_839_898_400_652,
+                    ],
+                ),
             ),
             (
                 builtin::extended_kb(),
@@ -188,17 +216,28 @@ mod tests {
                 50_462,
                 planner([994, 279, 2_129, 15_695], [890, 88, 0, 2]),
                 405_497,
+                (
+                    12,
+                    12,
+                    [
+                        4_620_743_565_988_196_666,
+                        4_619_190_988_635_760_320,
+                        4_620_540_925_442_105_980,
+                    ],
+                ),
             ),
         ];
-        for (kb, stats, fuel, trace, source_order_fuel) in cases {
+        for (kb, stats, fuel, trace, source_order_fuel, ranked) in cases {
             let greedy = scan(&kb, true);
             assert_eq!(greedy.stats, stats);
             assert_eq!(greedy.fuel_spent, fuel);
             assert_eq!(greedy.planner, trace);
+            assert_eq!(ranking(&greedy), ranked);
             let oracle = scan(&kb, false);
             assert_eq!(oracle.stats, stats);
             assert_eq!(oracle.fuel_spent, source_order_fuel);
             assert!(oracle.planner.is_empty());
+            assert_eq!(ranking(&oracle), ranked);
         }
     }
 }
