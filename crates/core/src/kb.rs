@@ -10,6 +10,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use optimatch_qep::Qep;
 use optimatch_sparql::{BudgetCause, EvalStats, SparqlError};
 use serde::{Deserialize, Serialize};
 
@@ -660,6 +661,8 @@ impl KnowledgeBase {
         let mut samples = Vec::new();
         for t in chunk {
             let mut recommendations = Vec::new();
+            // Derived the first time an entry fires on this plan.
+            let mut plan_total = None;
             for (entry, compiled) in self.units() {
                 let matches = units
                     .run(&compiled.matcher, &entry.name, t, options)?
@@ -667,7 +670,8 @@ impl KnowledgeBase {
                 if matches.is_empty() {
                     continue;
                 }
-                let (confidence, cost_share) = best_match_features(entry, &matches, t);
+                let total = *plan_total.get_or_insert_with(|| t.qep.total_cost());
+                let (confidence, cost_share) = best_match_features(entry, &matches, &t.qep, total);
                 samples.push(MatchSample {
                     entry: entry.name.clone(),
                     qep_id: t.qep.id.clone(),
@@ -701,17 +705,30 @@ impl KnowledgeBase {
     /// applied once over the merged chunks. `reports` must align 1:1 with
     /// `workload`.
     fn apply_workload_weighting(&self, reports: &mut [QepReport], workload: &[TransformedQep]) {
+        // Each recommended plan's log-cost impact, derived once; a plan
+        // nothing fired on gets 0, which no entry reads.
+        let plan_impacts: Vec<f64> = reports
+            .iter()
+            .zip(workload)
+            .map(|(report, t)| {
+                if report.recommendations.is_empty() {
+                    0.0
+                } else {
+                    t.qep.total_cost().log10().max(0.0)
+                }
+            })
+            .collect();
         for entry in &self.entries {
             let mut confidences = Vec::new();
             let mut impacts = Vec::new();
-            for (report, t) in reports.iter().zip(workload) {
+            for (report, &impact) in reports.iter().zip(&plan_impacts) {
                 if let Some(r) = report
                     .recommendations
                     .iter()
                     .find(|r| r.entry == entry.name)
                 {
                     confidences.push(r.confidence);
-                    impacts.push(t.qep.total_cost().log10().max(0.0));
+                    impacts.push(impact);
                 }
             }
             let weight = rank::correlation_weight(&confidences, &impacts);
@@ -774,18 +791,19 @@ fn rank_by_confidence(recommendations: &mut [Recommendation]) {
     });
 }
 
-/// The (confidence, cost share) of the best occurrence in this QEP —
-/// shared with the regression-diagnosis delta scan so both surfaces score
-/// matches identically.
+/// The (confidence, cost share) of the best occurrence in `qep`, whose
+/// total cost is `plan_total` — shared with the regression-diagnosis delta
+/// scan so both surfaces score matches identically.
 pub(crate) fn best_match_features(
     entry: &KnowledgeBaseEntry,
     matches: &[PatternMatch],
-    t: &TransformedQep,
+    qep: &Qep,
+    plan_total: f64,
 ) -> (f64, f64) {
     matches
         .iter()
-        .filter_map(|m| m.anchor_pop())
-        .filter_map(|id| rank::features_for(&t.qep, id))
+        .filter_map(|m| qep.op(m.anchor_pop()?))
+        .map(|op| rank::features_for(op, plan_total))
         .map(|f| (rank::confidence(entry.prototype, f), f.cost_share))
         .fold(
             (0.0, 0.0),

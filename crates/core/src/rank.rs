@@ -8,17 +8,22 @@
 //! * each KB entry carries a [`Prototype`] — the cost/cardinality profile
 //!   of the situations the expert wrote the recommendation for (cost share
 //!   of the matched operator within its plan, and cardinality magnitude);
-//! * each match yields [`MatchFeatures`] from the actual plan context;
-//! * the **confidence** blends profile similarity with the matched
-//!   subplan's cost impact: a recommendation about an operator that
-//!   dominates plan cost with the profile the expert described outranks
-//!   one that matches incidentally;
-//! * across a workload, entries are ordered by Pearson correlation-
-//!   weighted mean confidence.
+//! * each match yields [`MatchFeatures`] from the matched operator and its
+//!   plan's total cost, which the caller derives once per plan;
+//! * a match's **confidence** is `0.6·exp(−d²) + 0.4·cost share`, where
+//!   `d` is the distance from its features to the prototype (the
+//!   cardinality axis scaled by 1/5): a recommendation about an operator
+//!   that dominates plan cost with the profile the expert described
+//!   outranks one that matches incidentally;
+//! * a report keeps each entry's best occurrence;
+//! * across a workload, [`correlation_weight`] scales an entry's
+//!   confidences by `1 + 0.2·r`, where `r` is Pearson's r between the
+//!   entry's confidences and the log10 total cost of the plans it fired
+//!   on, and each report is re-ranked by the weighted confidences.
 
 use serde::{Deserialize, Serialize};
 
-use optimatch_qep::Qep;
+use optimatch_qep::PlanOp;
 
 /// Expert-provided feature profile stored with each KB entry.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -48,14 +53,13 @@ pub struct MatchFeatures {
     pub log_cardinality: f64,
 }
 
-/// Extract ranking features for an operator within its plan.
-pub fn features_for(qep: &Qep, pop_id: u32) -> Option<MatchFeatures> {
-    let op = qep.op(pop_id)?;
-    let total = qep.total_cost().max(f64::MIN_POSITIVE);
-    Some(MatchFeatures {
-        cost_share: (op.total_cost / total).clamp(0.0, 1.0),
+/// Extract ranking features for a matched operator, given its plan's
+/// total cost.
+pub fn features_for(op: &PlanOp, plan_total: f64) -> MatchFeatures {
+    MatchFeatures {
+        cost_share: (op.total_cost / plan_total.max(f64::MIN_POSITIVE)).clamp(0.0, 1.0),
         log_cardinality: (1.0 + op.cardinality.max(0.0)).log10(),
-    })
+    }
 }
 
 /// Confidence score in `[0, 1]`: similarity to the prototype blended with
@@ -95,9 +99,10 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
 /// confidences track the cost impact of the plans it fires on. Entries
 /// whose confidence correlates with real cost (the expert's profile keeps
 /// predicting expensive spots) get a small boost; anti-correlated entries
-/// are damped.
-pub fn correlation_weight(confidences: &[f64], cost_shares: &[f64]) -> f64 {
-    match pearson(confidences, cost_shares) {
+/// are damped. A scan passes each plan's log10 total cost as its impact;
+/// the fleet history passes recorded cost shares.
+pub fn correlation_weight(confidences: &[f64], impacts: &[f64]) -> f64 {
+    match pearson(confidences, impacts) {
         Some(r) => 1.0 + 0.2 * r,
         None => 1.0,
     }
@@ -111,11 +116,10 @@ mod tests {
     #[test]
     fn features_read_plan_context() {
         let q = fixtures::fig1();
-        let f = features_for(&q, 5).unwrap();
+        let f = features_for(q.op(5).unwrap(), q.total_cost());
         // TBSCAN(5): cost 15771 of 16801.2 total.
         assert!((f.cost_share - 15771.0 / 16801.2).abs() < 1e-9);
         assert!((f.log_cardinality - (4044.0f64).log10()).abs() < 1e-9);
-        assert!(features_for(&q, 999).is_none());
     }
 
     #[test]

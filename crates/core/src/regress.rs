@@ -326,6 +326,7 @@ pub fn regress(
     let alignment = align_qeps(before, after);
     let t_before = TransformedQep::new(before.clone());
     let t_after = TransformedQep::new(after.clone());
+    let (before_total, after_total) = diff.total_cost;
 
     let mut units = UnitRunner::default();
     let mut findings = Vec::new();
@@ -342,7 +343,8 @@ pub fn regress(
         if after_matches.is_empty() {
             continue;
         }
-        let (after_confidence, after_share) = best_match_features(entry, &after_matches, &t_after);
+        let (after_confidence, after_share) =
+            best_match_features(entry, &after_matches, after, after_total);
         samples.push(MatchSample {
             entry: entry.name.clone(),
             qep_id: t_after.qep.id.clone(),
@@ -352,7 +354,7 @@ pub fn regress(
         let (before_confidence, _) = if before_matches.is_empty() {
             (0.0, 0.0)
         } else {
-            best_match_features(entry, &before_matches, &t_before)
+            best_match_features(entry, &before_matches, before, before_total)
         };
         let is_delta =
             before_matches.is_empty() || after_confidence - before_confidence > options.threshold;
