@@ -120,7 +120,8 @@ impl std::error::Error for KbError {
 /// sites read as `ScanOptions::default().threads(8).prune(false)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOptions {
-    /// Worker threads (1 = sequential; values are clamped to ≥ 1).
+    /// Worker threads for scans and searches alike (1 = sequential;
+    /// clamped to ≥ 1). Results do not depend on the count.
     pub threads: usize,
     /// Whether a unit whose required patterns miss the graph may be skipped
     /// (results are identical either way; turning it off exists for
@@ -471,6 +472,39 @@ impl UnitRunner {
     }
 }
 
+/// Run `run` over `ceil(len / threads)` contiguous chunks of `workload`,
+/// the calling thread taking the first, and fold the outcomes with
+/// `absorb` in workload order. Every worker is joined first; then the
+/// first erring chunk in workload order decides the error, so a fail-fast
+/// loop returns its globally-first incident.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    workload: &[T],
+    threads: usize,
+    run: impl Fn(&[T]) -> Result<R, Error> + Sync,
+    absorb: fn(&mut R, R),
+) -> Result<R, Error> {
+    let chunk = workload.len().div_ceil(threads.max(1)).max(1);
+    let (first, rest) = workload.split_at(chunk.min(workload.len()));
+    let run = &run;
+    let (head, tail) = std::thread::scope(|scope| {
+        let workers: Vec<_> = rest
+            .chunks(chunk)
+            .map(|c| scope.spawn(move || run(c)))
+            .collect();
+        let head = run(first);
+        let tail: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+        (head, tail)
+    });
+    // Units are panic-contained, so a worker panic means the unit loop
+    // itself broke — typed, not a process abort.
+    let panicked = |_| Err(Error::Internal("workload worker panicked".into()));
+    let mut outcome = head?;
+    for next in tail {
+        absorb(&mut outcome, next.unwrap_or_else(panicked)?);
+    }
+    Ok(outcome)
+}
+
 /// Run one (entry × QEP) matcher unit inside the containment boundary: a
 /// fresh [`optimatch_sparql::Budget`] bounds its evaluation and
 /// `catch_unwind` converts a panic into a recorded incident (payload
@@ -614,34 +648,8 @@ impl KnowledgeBase {
         workload: &[TransformedQep],
         options: ScanOptions,
     ) -> Result<ScanOutcome, Error> {
-        let chunk = workload.len().div_ceil(options.threads.max(1)).max(1);
-        let (first, rest) = workload.split_at(chunk.min(workload.len()));
-        let (head, tail) = std::thread::scope(|scope| {
-            let workers: Vec<_> = rest
-                .chunks(chunk)
-                .map(|c| scope.spawn(move || self.scan_chunk(c, &options)))
-                .collect();
-            let head = self.scan_chunk(first, &options);
-            // Units are panic-contained, so a worker panic means the
-            // scan runtime itself broke — typed, not a process abort.
-            let tail: Vec<_> = workers
-                .into_iter()
-                .map(|w| {
-                    w.join().unwrap_or_else(|_| {
-                        Err(Error::Internal(
-                            "scan worker panicked outside the containment boundary".into(),
-                        ))
-                    })
-                })
-                .collect();
-            (head, tail)
-        });
-        // The first erring chunk holds the globally-first fail-fast
-        // incident.
-        let mut outcome = head?;
-        for next in tail {
-            outcome.absorb(next?);
-        }
+        let scan = |chunk: &[TransformedQep]| self.scan_chunk(chunk, &options);
+        let mut outcome = fan_out(workload, options.threads, scan, ScanOutcome::absorb)?;
         self.apply_workload_weighting(&mut outcome.reports, workload);
         Ok(outcome)
     }

@@ -22,7 +22,7 @@ use optimatch_sparql::{
 
 use crate::compile::compile_pattern;
 use crate::error::Error;
-use crate::kb::{PruneStats, ScanIncident, ScanOptions, UnitRunner};
+use crate::kb::{fan_out, PruneStats, ScanIncident, ScanOptions, UnitRunner};
 use crate::pattern::Pattern;
 use crate::transform::TransformedQep;
 use crate::vocab;
@@ -191,29 +191,32 @@ impl Matcher {
     /// [`Matcher::could_match`] (`options.prune`), is budgeted
     /// (`options.fuel` / `options.deadline`), and is panic-contained.
     /// Failing units are recorded as incidents — or abort the search when
-    /// `options.fail_fast` is set. `options.threads` is ignored (ad-hoc
-    /// searches run one pattern, sequentially).
+    /// `options.fail_fast` is set. Like the KB scan, the loop fans out over
+    /// `options.threads`; the outcome is identical for any thread count.
     pub fn search_workload(
         &self,
         workload: &[TransformedQep],
         options: &ScanOptions,
     ) -> Result<SearchOutcome, Error> {
-        let mut units = UnitRunner::default();
-        let mut matches = Vec::new();
-        for t in workload {
-            matches.extend(
-                units
-                    .run(self, &self.pattern.name, t, options)?
-                    .unwrap_or_default(),
-            );
-        }
-        Ok(SearchOutcome {
-            matches,
-            stats: units.stats,
-            incidents: units.incidents,
-            fuel_spent: units.fuel_spent,
-            planner: units.planner,
-        })
+        let search = |chunk: &[TransformedQep]| -> Result<SearchOutcome, Error> {
+            let mut units = UnitRunner::default();
+            let mut matches = Vec::new();
+            for t in chunk {
+                matches.extend(
+                    units
+                        .run(self, &self.pattern.name, t, options)?
+                        .unwrap_or_default(),
+                );
+            }
+            Ok(SearchOutcome {
+                matches,
+                stats: units.stats,
+                incidents: units.incidents,
+                fuel_spent: units.fuel_spent,
+                planner: units.planner,
+            })
+        };
+        fan_out(workload, options.threads, search, SearchOutcome::absorb)
     }
 }
 
@@ -243,6 +246,15 @@ impl SearchOutcome {
         let mut ids: Vec<&str> = self.matches.iter().map(|m| m.qep_id.as_str()).collect();
         ids.dedup();
         ids
+    }
+
+    /// Append the outcome of the workload chunk that follows this one.
+    fn absorb(&mut self, next: SearchOutcome) {
+        self.matches.extend(next.matches);
+        self.stats.merge(&next.stats);
+        self.incidents.extend(next.incidents);
+        self.fuel_spent = self.fuel_spent.saturating_add(next.fuel_spent);
+        self.planner.absorb(&next.planner);
     }
 }
 

@@ -157,10 +157,10 @@ impl OptImatch {
     }
 
     /// Ad-hoc pattern search (compile + match across the workload) under
-    /// explicit [`ScanOptions`]: pruning, per-QEP evaluation budgets, and
-    /// fail-fast control, with incidents contained and reported in the
-    /// outcome. Compiled matchers are cached, so repeating a search skips
-    /// Algorithm 2.
+    /// explicit [`ScanOptions`]: thread fan-out (as in a scan), pruning,
+    /// per-QEP evaluation budgets, and fail-fast control, with incidents
+    /// contained and reported in the outcome. Compiled matchers are cached,
+    /// so repeating a search skips Algorithm 2.
     pub fn search_with(
         &self,
         pattern: &Pattern,

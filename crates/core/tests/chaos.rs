@@ -5,7 +5,8 @@
 //! that exhausts any reasonable fuel budget. Scanning a 50-QEP workload
 //! against it must complete, leave every unaffected report byte-identical
 //! to a clean-KB run, and record deterministic incidents naming exactly
-//! the injected failures.
+//! the injected failures. Ad-hoc searches with either pattern fan out
+//! like the scan and must record the same incidents on any thread count.
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -13,8 +14,8 @@ use std::time::Duration;
 use optimatch_core::pattern::{Pattern, PatternPop, Relationship, StreamKindSpec};
 use optimatch_core::transform::TransformedQep;
 use optimatch_core::{
-    builtin, chaos, Error, IncidentCause, KnowledgeBase, KnowledgeBaseEntry, ScanIncident,
-    ScanOptions,
+    builtin, chaos, Error, IncidentCause, KnowledgeBase, KnowledgeBaseEntry, Matcher, ScanIncident,
+    ScanOptions, SearchOutcome,
 };
 use optimatch_workload::{generate_workload, GeneratorConfig, InjectionConfig, WorkloadConfig};
 
@@ -247,6 +248,122 @@ fn fail_fast_aborts_at_the_globally_first_incident() {
     assert_eq!(seq.entry, "chaos-panic");
     // Threading does not change which incident aborts the scan.
     assert_eq!(identity(&thr), identity(&seq));
+}
+
+/// Searches fan out over the workload like the scan: on eight threads, a
+/// panicking pattern and the recursion bomb each record the same
+/// incidents, matches and fuel as on one, and the healthy builtin
+/// patterns' whole outcomes are the same on 2, 8 and 64 threads (one
+/// plan per chunk) as on one while the chaos hook is armed.
+#[test]
+fn hostile_searches_contain_the_same_incidents_on_eight_threads() {
+    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let workload = workload50();
+    let options = ScanOptions::default().fuel(FUEL);
+    let search = |pattern: &Pattern, threads: usize| {
+        Matcher::compile(pattern)
+            .unwrap()
+            .search_workload(&workload, &options.threads(threads))
+            .unwrap()
+    };
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    chaos::arm_panic("chaos-panic");
+    let hostile: Vec<(SearchOutcome, SearchOutcome)> = [panicking_entry(), recursion_bomb_entry()]
+        .iter()
+        .map(|e| (search(&e.pattern, 1), search(&e.pattern, 8)))
+        .collect();
+    let healthy: Vec<(SearchOutcome, Vec<SearchOutcome>)> = builtin::paper_entries()
+        .iter()
+        .map(|e| {
+            let threaded = [2, 8, 64].map(|threads| search(&e.pattern, threads));
+            (search(&e.pattern, 1), threaded.to_vec())
+        })
+        .collect();
+    chaos::disarm();
+    std::panic::set_hook(hook);
+
+    let (panics, bombs) = (&hostile[0].0, &hostile[1].0);
+    assert_eq!(panics.incidents.len(), workload.len());
+    assert!(panics.incidents.iter().all(
+        |i| matches!(&i.cause, IncidentCause::Panic(m) if m.contains("chaos: injected panic"))
+    ));
+    assert_eq!(bombs.incidents.len(), workload.len());
+    assert!(bombs
+        .incidents
+        .iter()
+        .all(|i| i.cause == IncidentCause::FuelExhausted && i.fuel_spent >= FUEL));
+    // Everything but wall-clock time matches the sequential search.
+    let incidents = |o: &SearchOutcome| o.incidents.iter().map(identity).collect::<Vec<_>>();
+    for (sequential, threaded) in &hostile {
+        assert_eq!(incidents(threaded), incidents(sequential));
+        assert_eq!(threaded.matches, sequential.matches);
+        assert_eq!(threaded.fuel_spent, sequential.fuel_spent);
+        assert_eq!(threaded.stats, sequential.stats);
+        assert_eq!(threaded.planner, sequential.planner);
+    }
+    assert!(healthy.iter().any(|(s, _)| !s.matches.is_empty()));
+    for (sequential, threaded) in &healthy {
+        assert!(sequential.incidents.is_empty());
+        for outcome in threaded {
+            assert_eq!(outcome, sequential);
+        }
+    }
+}
+
+/// Pattern B evaluates only four plans of this workload (at indices 18,
+/// 19, 21 and 43; the rest are pruned), each in more than 400 steps.
+/// Eight threads cut the 50 plans into chunks of 7, so the globally-first
+/// incident lies in the third chunk and two later chunks hold incidents
+/// of their own: a merge that returned whichever erring chunk finished
+/// first, rather than the first in workload order, would name another
+/// plan.
+const FAIL_FAST_FUEL: u64 = 400;
+
+#[test]
+fn fail_fast_search_aborts_at_the_globally_first_incident() {
+    let workload = workload50();
+    let threads = 8;
+    let chunk = workload.len().div_ceil(threads);
+    let matcher = Matcher::compile(&builtin::pattern_b().pattern).unwrap();
+    let options = ScanOptions::default().fuel(FAIL_FAST_FUEL);
+
+    // Where the incidents lie, from the contained (not fail-fast) search.
+    let contained = matcher.search_workload(&workload, &options).unwrap();
+    let position = |i: &ScanIncident| {
+        workload
+            .iter()
+            .position(|t| t.qep.id == i.qep_id)
+            .expect("incident names a workload plan")
+    };
+    let chunks: Vec<usize> = contained
+        .incidents
+        .iter()
+        .map(|i| position(i) / chunk)
+        .collect();
+    assert!(
+        chunks.first().is_some_and(|&c| c > 0),
+        "the first incident must lie outside the first chunk: {:?}",
+        contained.incidents
+    );
+    assert!(
+        chunks.iter().any(|&c| c != chunks[0]),
+        "a later chunk must hold an incident too: {chunks:?}"
+    );
+
+    let first = |e: Error| match e {
+        Error::Incident(i) => *i,
+        other => panic!("expected Error::Incident, got {other:?}"),
+    };
+    let fail_fast = options.fail_fast(true);
+    let sequential = first(matcher.search_workload(&workload, &fail_fast).unwrap_err());
+    let threaded = first(
+        matcher
+            .search_workload(&workload, &fail_fast.threads(threads))
+            .unwrap_err(),
+    );
+    assert_eq!(identity(&sequential), identity(&contained.incidents[0]));
+    assert_eq!(identity(&threaded), identity(&sequential));
 }
 
 #[test]

@@ -223,9 +223,10 @@ proptest! {
     /// workloads, a pruned scan (and a pruned + threaded scan) returns
     /// exactly the reports of an unpruned scan, and pruned matcher
     /// searches return exactly the unpruned matches. The threaded scan's
-    /// whole outcome — counters, samples, fuel, and planner trace
-    /// included — equals the sequential one. Both the paper KB and the
-    /// extended KB run, so alternation paths (`(a|b|c)+`) are covered.
+    /// and each threaded search's whole outcome — counters, samples,
+    /// fuel, and planner trace included — equals the sequential one. Both
+    /// the paper KB and the extended KB run, so alternation paths
+    /// (`(a|b|c)+`) are covered.
     #[test]
     fn pruned_scan_equals_unpruned_scan(seed in any::<u64>(), n in 2usize..10) {
         let w = generate_workload(&WorkloadConfig {
@@ -255,13 +256,17 @@ proptest! {
 
             for entry in kb.entries() {
                 let m = Matcher::compile(&entry.pattern).expect("compiles");
-                let search = |prune| {
-                    let options = ScanOptions::default().prune(prune).fail_fast(true);
+                let search = |prune, threads| {
+                    let options = ScanOptions::default()
+                        .prune(prune)
+                        .fail_fast(true)
+                        .threads(threads);
                     m.search_workload(&workload, &options).expect("matches")
                 };
-                let (fast, slow) = (search(true), search(false));
+                let (fast, slow) = (search(true, 1), search(false, 1));
                 prop_assert_eq!(&fast.matches, &slow.matches);
                 prop_assert_eq!(fast.qep_ids(), slow.qep_ids());
+                prop_assert_eq!(&fast, &search(true, 3));
             }
         }
     }
