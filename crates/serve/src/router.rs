@@ -6,7 +6,8 @@
 //! |----------------------|------------------------------------------------|
 //! | `POST /v1/diagnose`  | One QEP text in, ranked recommendations out    |
 //! | `POST /v1/search`    | Pattern JSON in, matches across the workload   |
-//! |                      | (`explain=1` adds per-QEP physical plans)      |
+//! |                      | (`explain=1` adds per-QEP physical plans; the  |
+//! |                      | scan's query parameters apply too)             |
 //! | `GET /v1/scan`       | Full-workload KB scan (`fuel`, `deadline_ms`,  |
 //! |                      | `threads`, `no_prune`, `no_optimize`, `since`) |
 //! | `POST /v1/ingest`    | One QEP text in: durable append + new snapshot |
@@ -112,7 +113,10 @@ fn scan_options(state: &AppState, request: &Request) -> Result<ScanOptions, Resp
         let threads: usize = v
             .parse()
             .map_err(|_| Response::error(400, &format!("threads: bad value {v:?}")))?;
-        options = options.threads(threads);
+        // Each workload chunk is an OS thread: a request gets no more
+        // than the host's cores, and answers do not depend on the count.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        options = options.threads(threads.min(cores));
     }
     if let Some(v) = request.query_param("no_prune") {
         match v {
@@ -205,7 +209,8 @@ fn diagnose(state: &Arc<AppState>, request: &Request) -> Response {
 /// resident workload with its de-transformed bindings. `explain=1` adds an
 /// `explain` array with the planner's rendered physical plan per QEP (the
 /// same text `optimatch explain` prints); `no_optimize=1` evaluates in
-/// source order instead of planner order.
+/// source order instead of planner order. The scan's other query
+/// parameters (`threads`, budgets, `no_prune`) apply too.
 fn search(state: &Arc<AppState>, request: &Request) -> Response {
     let snapshot = state.manager.current();
     let json = match std::str::from_utf8(&request.body) {
@@ -628,4 +633,58 @@ fn healthz(state: &Arc<AppState>) -> Response {
 /// `GET /metrics` — the registry in Prometheus text format.
 fn metrics(state: &Arc<AppState>) -> Response {
     Response::text(200, state.metrics.render_prometheus())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::AtomicBool;
+
+    use optimatch_core::{KnowledgeBase, SessionManager};
+
+    use super::*;
+    use crate::{Metrics, ServeOptions};
+
+    fn state(baseline: ScanOptions) -> AppState {
+        let session = OptImatch::from_qeps(std::iter::empty());
+        AppState {
+            manager: Arc::new(SessionManager::new(session, KnowledgeBase::new(), None)),
+            metrics: Arc::new(Metrics::new()),
+            options: ServeOptions::new().scan(baseline),
+            read_only: AtomicBool::new(false),
+        }
+    }
+
+    fn request(query: &[(&str, &str)]) -> Request {
+        Request {
+            method: "GET".into(),
+            path: "/v1/scan".into(),
+            query: query
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            headers: Vec::new(),
+            body: Vec::new(),
+            bytes_read: 0,
+        }
+    }
+
+    /// A request asks for at most the host's cores; the server's own
+    /// baseline (`serve --threads N`) keeps its value. Only the parsed
+    /// options are checked: no scan runs, so no thread is started.
+    #[test]
+    fn threads_parameter_is_clamped_to_the_host_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let state = state(ScanOptions::default().threads(cores + 5));
+        let threads = |query: &[(&str, &str)]| match scan_options(&state, &request(query)) {
+            Ok(options) => options.threads,
+            Err(response) => panic!("rejected with {}", response.status),
+        };
+        assert_eq!(threads(&[]), cores + 5);
+        assert_eq!(threads(&[("threads", "1")]), 1);
+        assert_eq!(threads(&[("threads", "0")]), 1);
+        assert_eq!(threads(&[("threads", &cores.to_string())]), cores);
+        assert_eq!(threads(&[("threads", "1000000")]), cores);
+        assert_eq!(threads(&[("threads", &usize::MAX.to_string())]), cores);
+        assert!(scan_options(&state, &request(&[("threads", "-1")])).is_err());
+    }
 }

@@ -329,3 +329,37 @@ fn search_explain_flag_and_planner_metrics_round_trip() {
     assert_eq!(status_of(&response), 400, "{response}");
     server.shutdown();
 }
+
+/// `?threads=` fans the search out over the resident workload (clamped to
+/// the host's cores), and the answer does not change: every paper
+/// pattern's body is byte-identical to the sequential search's.
+#[test]
+fn threaded_search_body_is_byte_identical_to_sequential() {
+    let server = start(ServeOptions::new());
+    let addr = server.addr();
+    let post = |path: &str, body: &str| {
+        send_raw(
+            addr,
+            format!(
+                "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        )
+    };
+    let body_of = |response: &str| {
+        let (_, body) = response
+            .split_once("\r\n\r\n")
+            .unwrap_or_else(|| panic!("no header/body split in {response:?}"));
+        body.to_string()
+    };
+    for entry in builtin::paper_entries() {
+        let pattern = entry.pattern.to_json();
+        let sequential = post("/v1/search", &pattern);
+        let threaded = post("/v1/search?threads=3", &pattern);
+        assert_eq!(status_of(&sequential), 200, "{sequential}");
+        assert_eq!(status_of(&threaded), 200, "{threaded}");
+        assert_eq!(body_of(&threaded), body_of(&sequential), "{}", entry.name);
+    }
+    server.shutdown();
+}
