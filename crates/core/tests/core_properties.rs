@@ -1,13 +1,15 @@
 //! Property tests for optimatch-core: the tagging renderer never panics
 //! and always produces text for valid templates; compiled SPARQL for
 //! arbitrary valid builder patterns always parses; KB persistence is
-//! lossless for arbitrary entries.
+//! lossless for arbitrary entries; match-history recovery survives
+//! hostile bytes.
 
 use proptest::prelude::*;
 
 use optimatch_core::matcher::{MatchBinding, MatchTarget, PatternMatch};
 use optimatch_core::pattern::{Pattern, PatternPop, Relationship, Sign, StreamKindSpec};
 use optimatch_core::rank::Prototype;
+use optimatch_core::stats::{self, MatchRecord};
 use optimatch_core::tagging::Template;
 use optimatch_core::{KnowledgeBase, KnowledgeBaseEntry, Matcher};
 use optimatch_qep::fixtures;
@@ -52,8 +54,60 @@ fn sample_matches() -> (Vec<PatternMatch>, optimatch_qep::Qep) {
     (matches, qep)
 }
 
+/// Three recorded matches, and the sidecar image holding them.
+fn sidecar_image() -> (Vec<MatchRecord>, Vec<u8>) {
+    let records: Vec<MatchRecord> = (0..3u32)
+        .map(|i| MatchRecord {
+            entry: format!("pattern-{i}"),
+            qep_id: format!("q{i}"),
+            confidence: 0.25 * f64::from(i + 1),
+            cost_share: 0.5,
+            generation: u64::from(i),
+        })
+        .collect();
+    let mut image = stats::header_bytes().to_vec();
+    for r in &records {
+        image.extend_from_slice(&r.frame());
+    }
+    (records, image)
+}
+
+/// The values a hostile 8-byte window holds: zero, values around the
+/// image length, `u32::MAX`, `u64::MAX - k`, and random bits.
+fn hostile_value(len: u64) -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        (0u64..48).prop_map(move |d| len + 24 - d),
+        Just(u64::from(u32::MAX)),
+        (0u64..16).prop_map(|k| u64::MAX - k),
+        any::<u64>(),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// An 8-byte window overwritten with a hostile value anywhere in a
+    /// sidecar never panics `stats::recover`: it refuses a broken header
+    /// and otherwise returns a prefix of the recorded matches, ending
+    /// inside the image.
+    #[test]
+    fn match_history_recovery_survives_hostile_values(
+        start in 0usize..1024,
+        value in hostile_value(sidecar_image().1.len() as u64),
+    ) {
+        let (records, mut image) = sidecar_image();
+        let start = start % (image.len() - 7);
+        image[start..start + 8].copy_from_slice(&value.to_le_bytes());
+        match stats::recover(&image) {
+            Ok((recovered, valid_len)) => {
+                prop_assert!(valid_len <= image.len());
+                prop_assert_eq!(&recovered[..], &records[..recovered.len()]);
+            }
+            // Only the magic and version bytes are checked in the header.
+            Err(_) => prop_assert!(start < 9, "refused a sound header (window at {start})"),
+        }
+    }
 
     /// Any template assembled from valid constructs parses and renders
     /// without panicking, and unknown aliases degrade to placeholders.

@@ -347,3 +347,105 @@ fn dirty_file_refuses_appends_and_opens_leniently_read_only() {
     assert_eq!(std::fs::read(&path).unwrap()[9], 1);
     std::fs::remove_file(&path).ok();
 }
+
+/// Overwrite the trailer's footer offset, as a hostile or garbled file
+/// would.
+fn with_footer_offset(bytes: &[u8], offset: u64) -> Vec<u8> {
+    let mut bad = bytes.to_vec();
+    let trailer_start = bad.len() - 16;
+    bad[trailer_start..trailer_start + 8].copy_from_slice(&offset.to_le_bytes());
+    bad
+}
+
+/// Overwrite index entry 0's segment offset and recompute the footer
+/// CRC, so the damage gets past the footer check and reaches the
+/// per-record reads.
+fn with_entry0_offset(bytes: &[u8], offset: u64) -> Vec<u8> {
+    let mut bad = bytes.to_vec();
+    let footer = footer_offset_of(&bad);
+    // Footer frame: "IX" · len u32 · crc u32, then the body: count u32,
+    // then entry 0's offset u64.
+    let body = footer + 10..bad.len() - 16;
+    bad[body.start + 4..body.start + 12].copy_from_slice(&offset.to_le_bytes());
+    let crc = optimatch_repo::crc::crc32(&bad[body]);
+    bad[footer + 6..footer + 10].copy_from_slice(&crc.to_le_bytes());
+    bad
+}
+
+#[test]
+fn out_of_range_footer_offsets_are_typed_errors() {
+    let (fs, path, bytes) = fresh_sim_repo();
+    for offset in [u64::MAX, u64::MAX - 4] {
+        fs.install(&path, &with_footer_offset(&bytes, offset));
+
+        let err = Repository::open_on(&fs, &path).unwrap_err();
+        assert!(
+            matches!(&err, RepoError::Corrupt { detail } if detail.contains("out of bounds")),
+            "offset {offset}: {err}"
+        );
+
+        // The records themselves are intact: the lenient open notes the
+        // bad footer and recovers all three by sequential scan.
+        let loaded = Repository::open_lenient_on(&fs, &path).unwrap();
+        assert_eq!(loaded.repository.records.len(), 3, "offset {offset}");
+        assert!(
+            loaded
+                .skipped
+                .iter()
+                .any(|s| s.reason.contains("out of bounds") && s.reason.contains("sequential")),
+            "offset {offset}: {:?}",
+            loaded.skipped
+        );
+
+        let report = Repository::verify_on(&fs, &path).unwrap();
+        assert!(
+            report.problems.iter().any(|p| p.contains("out of bounds")),
+            "offset {offset}: {:?}",
+            report.problems
+        );
+
+        assert!(
+            Repository::append_on(&fs, &path, &[record("q-new", fixtures::fig1())]).is_err(),
+            "offset {offset}: append onto a bad footer must refuse"
+        );
+    }
+}
+
+#[test]
+fn out_of_range_index_entry_offsets_are_typed_errors() {
+    let (fs, path, bytes) = fresh_sim_repo();
+    for offset in [u64::MAX, u64::MAX - 9] {
+        fs.install(&path, &with_entry0_offset(&bytes, offset));
+
+        let err = Repository::open_on(&fs, &path).unwrap_err();
+        assert!(
+            matches!(&err, RepoError::Corrupt { detail } if detail.contains("q-first")),
+            "offset {offset}: {err}"
+        );
+
+        // The footer is sound, so the damage stays localized to record 0.
+        let loaded = Repository::open_lenient_on(&fs, &path).unwrap();
+        let ids: Vec<&str> = loaded
+            .repository
+            .records
+            .iter()
+            .map(|r| r.id.as_str())
+            .collect();
+        assert_eq!(ids, ["q-middle", "q-last"], "offset {offset}");
+        assert_eq!(loaded.skipped.len(), 1, "offset {offset}");
+        assert_eq!(loaded.skipped[0].id.as_deref(), Some("q-first"));
+
+        let report = Repository::verify_on(&fs, &path).unwrap();
+        assert_eq!(report.records, 2, "offset {offset}");
+        assert!(
+            report.problems.iter().any(|p| p.contains("q-first")),
+            "offset {offset}: {:?}",
+            report.problems
+        );
+
+        assert!(
+            Repository::append_on(&fs, &path, &[record("q-new", fixtures::fig1())]).is_err(),
+            "offset {offset}: append onto a bad index must refuse"
+        );
+    }
+}

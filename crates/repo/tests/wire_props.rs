@@ -1,8 +1,11 @@
-//! Property tests over the repository's wire format and lenient reader:
+//! Property tests over the repository's wire format and its readers:
 //! arbitrary truncation and single-byte corruption of a valid file (or
 //! a lone record payload) must never panic the decoder, and no record
 //! ever comes back without surviving its CRC — a corrupted payload is
-//! skipped, not silently returned mutated.
+//! skipped, not silently returned mutated. Hostile 8-byte values
+//! (offsets and lengths near the file size or near `u64::MAX`) written
+//! anywhere in the file, with the footer CRC made to match again or
+//! not, must never panic any reader either.
 
 use std::path::PathBuf;
 
@@ -51,6 +54,59 @@ fn repo_bytes() -> &'static [u8] {
 
 /// The ids the undamaged image decodes to.
 const ORIGINAL_IDS: [&str; 3] = ["q-1", "q-2", "q-3"];
+
+/// The footer CRC recomputed over whatever the footer body now holds, so
+/// damage inside the index gets past the footer check and reaches the
+/// per-record reads. The footer is located from the undamaged image.
+fn recompute_footer_crc(bytes: &mut [u8]) {
+    let original = repo_bytes();
+    let trailer = original.len() - 16;
+    let footer = u64::from_le_bytes(original[trailer..trailer + 8].try_into().unwrap()) as usize;
+    let crc = optimatch_repo::crc::crc32(&bytes[footer + 10..trailer]);
+    bytes[footer + 6..footer + 10].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Run every reader (strict open, lenient open, verify, append) over
+/// `bytes`, each on a fresh SimFs. Errors are fine; panics are bugs, and
+/// whatever strict or lenient open returns must be original records.
+fn run_every_reader(bytes: &[u8]) {
+    let path = PathBuf::from("/sim/hostile.optirepo");
+    let fresh = || {
+        let fs = SimFs::new();
+        fs.install(&path, bytes);
+        fs
+    };
+    if let Ok(repo) = Repository::open_on(&fresh(), &path) {
+        assert_survivors_are_originals(&repo.records);
+    }
+    if let Ok(loaded) = Repository::open_lenient_on(&fresh(), &path) {
+        assert_survivors_are_originals(&loaded.repository.records);
+    }
+    let _ = Repository::verify_on(&fresh(), &path);
+    let _ = Repository::append_on(&fresh(), &path, &[record("q-4", fixtures::fig1())]);
+}
+
+/// The values a hostile 8-byte window holds: zero, values around the
+/// file length, `u32::MAX`, `u64::MAX - k`, and random bits.
+fn hostile_value() -> impl Strategy<Value = u64> {
+    let len = repo_bytes().len() as u64;
+    prop_oneof![
+        Just(0u64),
+        (0u64..48).prop_map(move |d| len + 24 - d),
+        Just(u64::from(u32::MAX)),
+        (0u64..16).prop_map(|k| u64::MAX - k),
+        any::<u64>(),
+    ]
+}
+
+/// Where the window starts: anywhere in the file, or inside the footer
+/// and trailer, where every offset the readers follow is stored.
+fn window_start() -> impl Strategy<Value = usize> {
+    let bytes = repo_bytes();
+    let trailer = bytes.len() - 16;
+    let footer = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
+    prop_oneof![0..bytes.len() - 7, footer..bytes.len() - 7]
+}
 
 /// Open `bytes` leniently via a fresh SimFs; returns `None` when the
 /// open itself errors (acceptable — only panics are bugs).
@@ -159,6 +215,19 @@ proptest! {
             optimatch_repo::crc::crc32(&record("q-flip", fixtures::fig1()).encode()),
             "a single-bit flip slipped past the CRC"
         );
+    }
+
+    /// An 8-byte window overwritten with a hostile value, anywhere in the
+    /// file, never panics a reader — with the footer CRC left stale (the
+    /// footer check catches index damage) and recomputed (the damage
+    /// reaches the per-record reads).
+    #[test]
+    fn no_reader_panics_on_hostile_values(start in window_start(), value in hostile_value()) {
+        let mut damaged = repo_bytes().to_vec();
+        damaged[start..start + 8].copy_from_slice(&value.to_le_bytes());
+        run_every_reader(&damaged);
+        recompute_footer_crc(&mut damaged);
+        run_every_reader(&damaged);
     }
 
     /// The wire cursor primitives are total over arbitrary bytes.
