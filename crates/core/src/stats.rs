@@ -5,23 +5,21 @@
 //! than one scan: every diagnosis, scan, and regression analysis fires
 //! matches whose (confidence, cost-share) pairs say how well each entry's
 //! prototype actually predicts expensive spots in real traffic. This
-//! module persists those samples so [`crate::rank::correlation_weight`]
-//! can consume accumulated history instead of only the in-scan sample —
-//! ranking confidence improves as the fleet submits traffic.
+//! module persists those samples and derives, per entry, the weight
+//! [`crate::rank::correlation_weight`] gives the accumulated history
+//! ([`MatchStatsStore::weights`], which `GET /v1/stats` reports). Served
+//! rankings do not use these weights: they come from the in-scan sample
+//! alone, and only tests call [`MatchStatsStore::apply_history_weighting`].
 //!
 //! The store is an append-only sidecar file next to the workload
-//! repository, under the same hand-rolled checksummed wire-format
-//! discipline as `optimatch-repo`:
+//! repository. It uses [`optimatch_repo::frame`], the repository's own
+//! header and frame codec:
 //!
 //! ```text
-//! ┌──────────────────────────────────────────────────────────┐
-//! │ header (16 B): "OPTISTAT" · version u8 · 7 reserved zeros│
-//! ├──────────────────────────────────────────────────────────┤
-//! │ record 0: "MS" · payload_len u32 · crc32 u32 · payload   │
-//! │ record 1: …                                              │
-//! └──────────────────────────────────────────────────────────┘
-//! payload: entry str · qep_id str · confidence f64 ·
-//!          cost_share f64 · generation u64
+//! header:    "OPTISTAT" · version (1)
+//! record 0:  "MS" frame, payload: entry str · qep_id str ·
+//!            confidence f64 · cost_share f64 · generation u64
+//! record 1:  …
 //! ```
 //!
 //! There is no footer or index: records are self-delimiting and the file
@@ -40,9 +38,9 @@ use std::sync::Arc;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Mutex, MutexGuard, PoisonError};
 
-use optimatch_repo::crc::crc32;
+use optimatch_repo::frame::{self, HeaderError, HEADER_LEN};
 use optimatch_repo::vfs::{std_fs, OpenMode, Vfs};
-use optimatch_repo::wire::{put_f64, put_str, put_u32, put_u64, Cursor};
+use optimatch_repo::wire::{put_f64, put_str, put_u64, Cursor};
 
 use crate::error::Error;
 use crate::kb::{MatchSample, QepReport};
@@ -52,13 +50,12 @@ use crate::rank;
 pub const STATS_MAGIC: &[u8; 8] = b"OPTISTAT";
 /// Current format version.
 pub const STATS_VERSION: u8 = 1;
-/// Recorded samples an entry needs before its history outweighs the
-/// in-scan sample — below this the recorded correlation is noise.
+/// Recorded samples an entry needs before its learned weight counts
+/// ([`EntryWeight::learned`]) — below this the recorded correlation is
+/// noise.
 pub const MIN_HISTORY: usize = 8;
 
 const RECORD_MAGIC: &[u8; 2] = b"MS";
-const HEADER_LEN: usize = 16;
-const FRAME_LEN: usize = 10;
 
 /// One recorded fired match.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,33 +83,26 @@ impl MatchRecord {
         buf
     }
 
-    /// The record as one self-delimiting wire frame:
-    /// `"MS" · payload_len u32 · crc32 u32 · payload`. What
+    /// The record as one `"MS"` frame ([`optimatch_repo::frame`]). What
     /// [`MatchStatsStore::record`] appends and [`recover`] re-reads;
     /// public so crash-recovery tests can build file images byte by byte.
     pub fn frame(&self) -> Vec<u8> {
-        let payload = self.encode();
-        let mut frame = Vec::with_capacity(FRAME_LEN + payload.len());
-        frame.extend_from_slice(RECORD_MAGIC);
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::new();
+        frame::encode(&mut frame, RECORD_MAGIC, &self.encode());
         frame
     }
 
-    fn decode(payload: &[u8]) -> Result<MatchRecord, String> {
+    /// The record in `payload`, which it must fill exactly.
+    fn decode(payload: &[u8]) -> Option<MatchRecord> {
         let mut c = Cursor::new(payload);
         let record = MatchRecord {
-            entry: c.str("entry").map_err(|e| e.to_string())?,
-            qep_id: c.str("qep_id").map_err(|e| e.to_string())?,
-            confidence: c.f64("confidence").map_err(|e| e.to_string())?,
-            cost_share: c.f64("cost_share").map_err(|e| e.to_string())?,
-            generation: c.u64("generation").map_err(|e| e.to_string())?,
+            entry: c.str("entry").ok()?,
+            qep_id: c.str("qep_id").ok()?,
+            confidence: c.f64("confidence").ok()?,
+            cost_share: c.f64("cost_share").ok()?,
+            generation: c.u64("generation").ok()?,
         };
-        if !c.at_end() {
-            return Err("trailing bytes in match record".into());
-        }
-        Ok(record)
+        c.at_end().then_some(record)
     }
 }
 
@@ -139,10 +129,7 @@ struct StatsState {
 
 /// The canonical 16-byte sidecar header: magic, version, reserved zeros.
 pub fn header_bytes() -> [u8; HEADER_LEN] {
-    let mut header = [0u8; HEADER_LEN];
-    header[..8].copy_from_slice(STATS_MAGIC);
-    header[8] = STATS_VERSION;
-    header
+    frame::header(STATS_MAGIC, STATS_VERSION)
 }
 
 /// Recover every intact record from a full sidecar image (header
@@ -152,34 +139,24 @@ pub fn header_bytes() -> [u8; HEADER_LEN] {
 /// crash-recovery model tests, so what the tests prove is exactly what
 /// production runs.
 pub fn recover(data: &[u8]) -> Result<(Vec<MatchRecord>, usize), Error> {
-    if data.len() < HEADER_LEN || &data[..8] != STATS_MAGIC {
-        return Err(Error::Internal("not a MatchStats sidecar".to_string()));
-    }
-    if data[8] == 0 || data[8] > STATS_VERSION {
-        return Err(Error::Internal(format!(
-            "unsupported MatchStats version {}",
-            data[8]
-        )));
-    }
-    let mut records = Vec::new();
-    let mut pos = HEADER_LEN;
-    while pos + FRAME_LEN <= data.len() && &data[pos..pos + 2] == RECORD_MAGIC {
-        let len = u32::from_le_bytes(data[pos + 2..pos + 6].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(data[pos + 6..pos + 10].try_into().expect("4 bytes"));
-        if pos + FRAME_LEN + len > data.len() {
-            break; // torn tail: incomplete payload
-        }
-        let payload = &data[pos + FRAME_LEN..pos + FRAME_LEN + len];
-        if crc32(payload) != crc {
-            break; // torn tail: damaged frame
-        }
-        let Ok(record) = MatchRecord::decode(payload) else {
-            break;
-        };
-        records.push(record);
-        pos += FRAME_LEN + len;
-    }
-    Ok((records, pos))
+    frame::read_header(data, STATS_MAGIC, STATS_VERSION).map_err(|e| {
+        Error::Internal(match e {
+            HeaderError::Magic => "not a MatchStats sidecar".to_string(),
+            HeaderError::Version(found) => format!("unsupported MatchStats version {found}"),
+        })
+    })?;
+    // The torn tail starts at the first frame that is incomplete,
+    // damaged, or undecodable.
+    let mut valid_len = HEADER_LEN;
+    let records = frame::walk(data, HEADER_LEN, RECORD_MAGIC)
+        .map_while(|item| {
+            let frame = item.ok()?;
+            let record = MatchRecord::decode(frame.payload().ok()?)?;
+            valid_len = frame.end();
+            Some(record)
+        })
+        .collect();
+    Ok((records, valid_len))
 }
 
 /// A durable, append-only store of fired-match statistics. Thread-safe:
@@ -234,16 +211,7 @@ impl MatchStatsStore {
                 let mut f = vfs.open(path, OpenMode::Create)?;
                 f.write_all(0, &header_bytes())?;
                 f.sync_data()?;
-                drop(f);
-                return Ok(MatchStatsStore::with_state(
-                    Some(path.to_path_buf()),
-                    vfs,
-                    StatsState {
-                        records: Vec::new(),
-                        valid_len: HEADER_LEN as u64,
-                    },
-                    0,
-                ));
+                header_bytes().to_vec()
             }
             Err(e) => return Err(Error::Io(e)),
         };
@@ -433,17 +401,10 @@ impl MatchStatsStore {
     /// the in-scan sample. `None` until the entry has [`MIN_HISTORY`]
     /// recorded matches.
     pub fn entry_weight(&self, entry: &str) -> Option<f64> {
-        let state = self.lock();
-        let (confidences, cost_shares): (Vec<f64>, Vec<f64>) = state
-            .records
-            .iter()
-            .filter(|r| r.entry == entry)
-            .map(|r| (r.confidence, r.cost_share))
-            .unzip();
-        if confidences.len() < MIN_HISTORY {
-            return None;
-        }
-        Some(rank::correlation_weight(&confidences, &cost_shares))
+        self.weights()
+            .into_iter()
+            .find(|w| w.entry == entry && w.learned)
+            .map(|w| w.weight)
     }
 
     /// Learned per-entry state, sorted by entry name — what `GET
@@ -480,7 +441,7 @@ impl MatchStatsStore {
     /// correlation weight, then reports re-rank. Entries without enough
     /// history are untouched, so an empty store is a no-op — ranking
     /// changes only once the fleet has submitted ≥ [`MIN_HISTORY`]
-    /// matches for an entry.
+    /// matches for an entry. No request path calls this yet.
     pub fn apply_history_weighting(&self, reports: &mut [QepReport]) {
         let weights: std::collections::BTreeMap<String, f64> = self
             .weights()

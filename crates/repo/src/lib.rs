@@ -9,12 +9,14 @@
 //! and — in the lenient mode — skipped rather than fatal.
 //!
 //! This crate owns only the storage layer (format, checksums, record
-//! codec). It depends on `optimatch-qep` and `optimatch-rdf` for the
+//! codec). [`frame`] is the header and frame layout the repository
+//! shares with the match-history sidecar in `optimatch-core`. It depends on `optimatch-qep` and `optimatch-rdf` for the
 //! payload types; session integration (repository-backed
 //! `OptImatch::open`) lives in `optimatch-core`.
 
 pub mod crc;
 pub mod error;
+pub mod frame;
 pub mod record;
 pub mod store;
 pub mod vfs;
