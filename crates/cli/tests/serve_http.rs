@@ -212,3 +212,45 @@ fn concurrent_traffic_matches_the_cli_byte_for_byte() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `serve --record-stats` starts next to a sidecar whose creation was cut
+/// before its header was written (a 0-byte `REPO.stats`), and finishes
+/// that creation.
+#[test]
+fn serve_records_stats_next_to_an_empty_sidecar() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+
+    let dir = std::env::temp_dir().join(format!("optimatch-empty-sidecar-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let plans = dir.join("plans");
+    let repo = dir.join("wl.optirepo");
+    let (plans_s, repo_s) = (plans.to_str().unwrap(), repo.to_str().unwrap());
+    optimatch_cli::run(&args(&["gen", "--out", plans_s, "--n", "2", "--seed", "7"])).unwrap();
+    optimatch_cli::run(&args(&["repo", "build", plans_s, repo_s])).unwrap();
+    let sidecar = optimatch_core::MatchStatsStore::sidecar_path(&repo);
+    std::fs::write(&sidecar, b"").unwrap();
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_optimatch"))
+        .args(["serve", repo_s, "--record-stats", "--addr", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn optimatch serve");
+    let mut banner = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut banner)
+        .unwrap();
+    let _ = child.kill();
+    let output = child.wait_with_output().unwrap();
+    assert!(
+        banner.starts_with("optimatch-serve listening on"),
+        "serve did not start: {banner:?}, stderr {:?}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert_eq!(
+        std::fs::read(&sidecar).unwrap(),
+        optimatch_core::stats::header_bytes()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -196,8 +196,12 @@ impl MatchStatsStore {
 
     /// Open (or create) a MatchStats sidecar. Every intact frame is
     /// loaded; a torn tail after the last intact frame is tolerated and
-    /// reported via [`MatchStatsStore::torn_tail_bytes`]. Opening never
-    /// writes, so a kill-and-reopen leaves the file byte-identical.
+    /// reported via [`MatchStatsStore::torn_tail_bytes`]. A missing file,
+    /// or one that holds a strict prefix of the header (an empty file
+    /// included: a creation cut short), is created: the header is written
+    /// and synced. Any other file is only read, so a kill-and-reopen
+    /// leaves it byte-identical; one whose bytes disagree with the header
+    /// is refused.
     pub fn open(path: &Path) -> Result<MatchStatsStore, Error> {
         MatchStatsStore::open_on(std_fs(), path)
     }
@@ -205,18 +209,22 @@ impl MatchStatsStore {
     /// [`MatchStatsStore::open`] over an injected filesystem; appends
     /// go through the same handle for the store's whole life.
     pub fn open_on(vfs: Arc<dyn Vfs>, path: &Path) -> Result<MatchStatsStore, Error> {
+        let torn_creation =
+            |data: &[u8]| data.len() < HEADER_LEN && header_bytes().starts_with(data);
         let data = match vfs.read(path) {
-            Ok(data) => data,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            Ok(data) if !torn_creation(&data) => data,
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(Error::Io(e)),
+            _ => {
                 let mut f = vfs.open(path, OpenMode::Create)?;
                 f.write_all(0, &header_bytes())?;
                 f.sync_data()?;
                 header_bytes().to_vec()
             }
-            Err(e) => return Err(Error::Io(e)),
         };
-        let (records, pos) =
-            recover(&data).map_err(|e| Error::Internal(format!("{}: {e}", path.display())))?;
+        let (records, pos) = recover(&data).map_err(|e| match e {
+            Error::Internal(m) => Error::Internal(format!("{}: {m}", path.display())),
+            other => other,
+        })?;
         let torn_tail = (data.len() - pos) as u64;
         Ok(MatchStatsStore::with_state(
             Some(path.to_path_buf()),
@@ -567,8 +575,38 @@ mod tests {
     #[test]
     fn non_stats_files_are_rejected() {
         let path = temp_path("notstats");
-        std::fs::write(&path, b"OPTIREPO????????").unwrap();
-        assert!(MatchStatsStore::open(&path).is_err());
+        for bytes in [&b"OPTIREPO????????"[..], b"OPTIREPO", b"X"] {
+            std::fs::write(&path, bytes).unwrap();
+            let err = MatchStatsStore::open(&path).unwrap_err().to_string();
+            assert_eq!(
+                err,
+                format!(
+                    "internal error: {}: not a MatchStats sidecar",
+                    path.display()
+                )
+            );
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bytes,
+                "a refused file is left alone"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A creation cut before its header was durable leaves an empty file
+    /// or a prefix of the header; opening finishes the creation.
+    #[test]
+    fn torn_creation_is_created_again() {
+        let path = temp_path("torn-creation");
+        for cut in [0, 5, HEADER_LEN - 1] {
+            std::fs::write(&path, &header_bytes()[..cut]).unwrap();
+            let store = MatchStatsStore::open(&path).unwrap();
+            assert!(store.is_empty());
+            assert_eq!(std::fs::read(&path).unwrap(), header_bytes());
+            store.record(&[sample("e1", 0.9, 0.8)], 0).unwrap();
+            assert_eq!(MatchStatsStore::open(&path).unwrap().len(), 1);
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -8,10 +8,12 @@
 //! 1. Every crash image reopens without error, recovering a frame
 //!    prefix of what was recorded (a torn tail is tolerated, reported,
 //!    and never decoded as data).
-//! 2. Opening never writes: a kill-and-reopen cycle leaves the file
-//!    byte-identical.
+//! 2. Opening a sidecar whose header is whole never writes: a
+//!    kill-and-reopen cycle leaves the file byte-identical.
 //! 3. Acked ⇒ durable: once `record` returns `Ok`, a power cut cannot
 //!    lose the batch.
+//! 4. A creation cut anywhere reopens empty: a missing file, an empty
+//!    one or one holding part of the header is created again.
 //!
 //! The mutation check turns off the append fsync via
 //! `skip_sync_for_tests` and proves invariant 3 then *fails* — the
@@ -86,6 +88,33 @@ fn every_crash_point_of_a_record_reopens_to_a_frame_prefix() {
     let store = MatchStatsStore::open_on(vfs, &path).expect("full image opens");
     assert_eq!(entries(&store), ["seed-entry", "new-a", "new-b"]);
     assert_eq!(store.torn_tail_bytes(), 0);
+}
+
+/// Invariant 4: every cut, tear and reorder of a sidecar's creation
+/// opens with zero records, and the reopened store records again.
+#[test]
+fn every_crash_point_of_a_creation_reopens_empty() {
+    let fs = SimFs::new();
+    let path = PathBuf::from("/sim/workload.optirepo.stats");
+    let base = fs.deep_clone();
+    {
+        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+        MatchStatsStore::open_on(vfs, &path).expect("creates");
+    }
+
+    let images = crash_images(&base, &fs.trace());
+    assert!(images.len() > 2, "explorer too shallow: {}", images.len());
+    for image in &images {
+        let vfs: Arc<dyn Vfs> = Arc::new(image.fs.clone());
+        let store = MatchStatsStore::open_on(vfs.clone(), &path)
+            .unwrap_or_else(|e| panic!("open on `{}`: {e}", image.label));
+        assert!(store.is_empty(), "`{}` recovered records", image.label);
+        store
+            .record(&[sample("after-crash")], 1)
+            .unwrap_or_else(|e| panic!("record on `{}`: {e}", image.label));
+        let again = MatchStatsStore::open_on(vfs, &path).expect("reopens");
+        assert_eq!(entries(&again), ["after-crash"], "`{}`", image.label);
+    }
 }
 
 /// Invariant 2: opening a crash image writes nothing — the bytes before
