@@ -329,14 +329,20 @@ pub fn regress(
     let (before_total, after_total) = diff.total_cost;
 
     let mut units = UnitRunner::default();
+    // One set of core slots per side: entries with equal cores share one
+    // evaluation per plan, as in a scan.
+    let (mut after_cores, mut before_cores) = (kb.plan_cores(&t_after), kb.plan_cores(&t_before));
     let mut findings = Vec::new();
     let mut samples = Vec::new();
     for (entry, compiled) in kb.units() {
-        let mut run = |t| units.run(&compiled.matcher, &entry.name, t, &options.scan);
-        let Some(after_matches) = run(&t_after)? else {
+        let mut run = |cores| {
+            let (matcher, scan) = (&compiled.matcher, &options.scan);
+            units.run(matcher, compiled.core, &entry.name, cores, scan)
+        };
+        let Some(after_matches) = run(&mut after_cores)? else {
             continue;
         };
-        let Some(before_matches) = run(&t_before)? else {
+        let Some(before_matches) = run(&mut before_cores)? else {
             continue;
         };
 

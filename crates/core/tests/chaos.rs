@@ -140,6 +140,53 @@ fn fuel_margins_hold() {
     }
 }
 
+/// Pattern A with another inner-cardinality threshold: the same query
+/// core as Pattern A, another FILTER constant.
+fn pattern_a_over(threshold: u32) -> KnowledgeBaseEntry {
+    let mut entry = builtin::pattern_a();
+    entry.name = format!("chaos-a-over-{threshold}");
+    entry.pattern.name = entry.name.clone();
+    entry.pattern.pops[2].properties[0].value = threshold.to_string();
+    entry
+}
+
+/// The chaos hook fires per entry, before the entry reaches its query
+/// core. An entry that trips records an incident with no fuel spent and
+/// leaves the core to the next entry that shares it, whose results, fuel
+/// and planner counters are what it gets alone.
+#[test]
+fn a_tripped_entry_leaves_its_shared_core_to_the_next() {
+    let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let workload = workload50();
+    let options = ScanOptions::default().prune(false);
+    let mut kb = KnowledgeBase::new();
+    kb.add(pattern_a_over(100)).unwrap();
+    kb.add(pattern_a_over(200)).unwrap();
+    kb.add(pattern_a_over(300)).unwrap();
+    let mut pair = KnowledgeBase::new();
+    pair.add(pattern_a_over(200)).unwrap();
+    pair.add(pattern_a_over(300)).unwrap();
+    let expected = pair.scan_workload_with(&workload, options).unwrap();
+    assert_eq!(expected.stats.shared, workload.len());
+
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    chaos::arm_panic("chaos-a-over-100");
+    let shared = kb.scan_workload_with(&workload, options).unwrap();
+    chaos::disarm();
+    std::panic::set_hook(hook);
+
+    assert_eq!(shared.incidents.len(), workload.len());
+    for i in &shared.incidents {
+        assert_eq!((i.entry.as_str(), i.fuel_spent), ("chaos-a-over-100", 0));
+    }
+    assert_eq!(shared.reports, expected.reports);
+    assert_eq!(shared.samples, expected.samples);
+    assert_eq!(shared.fuel_spent, expected.fuel_spent);
+    assert_eq!(shared.planner, expected.planner);
+    assert_eq!(shared.stats.shared, expected.stats.shared);
+}
+
 #[test]
 fn hostile_kb_scan_survives_and_unaffected_reports_are_identical() {
     let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -43,6 +43,44 @@ pub struct Plan {
     pub having_aggregates: Vec<(ast::AggFunc, Option<CExpr>)>,
 }
 
+impl Plan {
+    /// The plan's *core*: the subtree under the root's chain of `FILTER`s.
+    /// The rest, that chain plus projection and the solution modifiers, is
+    /// its *tail*; [`crate::eval::evaluate`] runs the one and then the
+    /// other.
+    pub fn core(&self) -> &Node {
+        let mut node = &self.root;
+        while let Node::Filter(_, inner) = node {
+            node = inner;
+        }
+        node
+    }
+
+    /// True when `other`'s core yields the same rows as this one's on any
+    /// graph: equal algebra over the same slot layout. A core that reads an
+    /// `EXISTS` subpattern also needs equal subpatterns.
+    pub fn same_core(&self, other: &Plan) -> bool {
+        self.vars.len() == other.vars.len()
+            && self.core() == other.core()
+            && (self.exists_nodes == other.exists_nodes || !reads_exists(self.core()))
+    }
+}
+
+/// True when an expression somewhere in `node` evaluates an `EXISTS`.
+fn reads_exists(node: &Node) -> bool {
+    match node {
+        Node::Unit | Node::Bgp(_) => false,
+        Node::Join(a, b) | Node::LeftJoin(a, b) | Node::Union(a, b) => {
+            reads_exists(a) || reads_exists(b)
+        }
+        Node::Filter(e, inner) | Node::Extend(inner, _, e) => {
+            let mut refs = Vec::new();
+            collect_exists_refs(e, &mut refs);
+            !refs.is_empty() || reads_exists(inner)
+        }
+    }
+}
+
 /// A projected column: a raw slot, a computed expression, or an aggregate
 /// over the rows of a group.
 #[derive(Debug, Clone)]
@@ -56,7 +94,7 @@ pub enum ProjExpr {
 }
 
 /// Pattern-tree node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     /// The unit table: one empty solution.
     Unit,
@@ -84,7 +122,7 @@ pub enum PlanNodePattern {
 }
 
 /// A compiled triple pattern.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TriplePlan {
     /// Subject.
     pub subject: PlanNodePattern,
@@ -98,7 +136,7 @@ pub struct TriplePlan {
 
 /// Compiled expression: identical to [`ast::Expression`] with variables
 /// replaced by slots.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CExpr {
     /// Variable slot reference.
     Slot(usize),

@@ -48,7 +48,7 @@ const DEADLINE_CHECK_INTERVAL: u32 = 256;
 /// Construct with [`Budget::unlimited`] or [`Budget::limited`], pass to
 /// [`crate::eval::evaluate`], and inspect
 /// [`Budget::spent`] / [`Budget::exceeded`] afterwards.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Budget {
     initial: u64,
     remaining: Cell<u64>,
@@ -74,6 +74,18 @@ impl Budget {
             start: Instant::now(),
             until_deadline_check: Cell::new(0),
             exceeded: Cell::new(None),
+        }
+    }
+
+    /// A copy of this budget, with its fuel spent, deadline-check phase and
+    /// latched state, whose clock reads `elapsed` now. A KB scan hands each
+    /// unit that shares an evaluated core the core's budget as it stood
+    /// when the core finished, resumed at the core's own time.
+    pub fn resumed(&self, elapsed: Duration) -> Budget {
+        let now = Instant::now();
+        Budget {
+            start: now.checked_sub(elapsed).unwrap_or(now),
+            ..self.clone()
         }
     }
 
@@ -186,6 +198,22 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn resumed_budget_continues_the_accounting() {
+        let b = Budget::limited(Some(300), Some(Duration::from_secs(3600)));
+        assert!(b.try_charge(10));
+        let r = b.resumed(Duration::from_secs(5));
+        assert_eq!(r.spent(), 10);
+        assert!(r.elapsed() >= Duration::from_secs(5));
+        // Same deadline-check phase: the check after the first falls on
+        // charge 257 in both.
+        assert_eq!(r.until_deadline_check.get(), b.until_deadline_check.get());
+        assert!(!r.try_charge(291), "291 > 290 remaining");
+        assert_eq!(b.spent(), 10, "the original is untouched");
+        let expired = Budget::limited(None, Some(Duration::from_millis(1)));
+        assert!(!expired.resumed(Duration::from_secs(1)).try_charge(1));
     }
 
     #[test]
