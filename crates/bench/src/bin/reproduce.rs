@@ -8,7 +8,8 @@
 //! * `fig9`     — search time vs. workload size (100..1000 QEPs × 3 patterns)
 //! * `fig10`    — per-QEP time and fuel vs. LOLEPOP bucket, and the
 //!   triage-KB scan time per plan with its log-log exponent
-//! * `fig11`    — KB-scan time vs. number of recommendations (1/10/100/250)
+//! * `fig11`    — KB-scan time vs. number of recommendations (1/10/100/250),
+//!   with the evaluated units and how many reused a query core
 //! * `fig12`    — user study: manual (simulated) vs. OptImatch wall time
 //! * `table1`   — manual-search precision vs. the tool's
 //! * `ablation` — greedy vs. source-order SPARQL planning per built-in
@@ -400,20 +401,25 @@ fn fig11(quick: bool) {
     let workload = paper_workload(n_qeps);
     let (transformed, _) = transform_all(&workload);
 
-    println!("| KB entries | scan time ({n_qeps} QEPs) |");
-    println!("|---|---|");
+    println!("| KB entries | scan time ({n_qeps} QEPs) | evaluated units | reused a core |");
+    println!("|---|---|---|---|");
     let mut xs = Vec::new();
     let mut ys = Vec::new();
     for n in [1usize, 10, 100, 250] {
         let kb = synthetic_kb(n);
         let start = Instant::now();
-        let reports = kb
+        let outcome = kb
             .scan_workload_with(&transformed, ScanOptions::default())
-            .expect("scan succeeds")
-            .reports;
+            .expect("scan succeeds");
         let elapsed = start.elapsed();
-        assert_eq!(reports.len(), transformed.len());
-        println!("| {n} | {} |", fmt_dur(elapsed));
+        assert_eq!(outcome.reports.len(), transformed.len());
+        let stats = outcome.stats;
+        println!(
+            "| {n} | {} | {} | {} |",
+            fmt_dur(elapsed),
+            stats.evaluated,
+            stats.shared
+        );
         xs.push(n as f64);
         ys.push(elapsed.as_secs_f64());
     }

@@ -595,12 +595,13 @@ fn cmd_scan(args: &Args) -> Result<CmdOutput, CliError> {
     let stats = outcome.stats;
     let _ = writeln!(
         out,
-        "pruning: {} of {} matcher runs skipped ({:.0}%), {} evaluated, {} matched",
+        "pruning: {} of {} matcher runs skipped ({:.0}%), {} evaluated, {} matched, {} reused a query core",
         stats.pruned,
         stats.candidates,
         stats.prune_rate() * 100.0,
         stats.evaluated,
         stats.matched,
+        stats.shared,
     );
     if args.flag("timings") {
         out.push_str(&planner_line(&outcome.planner));
@@ -1453,6 +1454,8 @@ mod tests {
         let scan = run_ok(&["scan", out_dir.to_str().unwrap(), "--threads", "2"]);
         assert!(scan.contains("scanned 8 QEP(s) against 4 KB entr(ies)"));
         assert!(scan.contains("pruning:"), "{scan}");
+        // The paper KB's four entries have four distinct query cores.
+        assert!(scan.contains(" matched, 0 reused a query core\n"), "{scan}");
 
         // Reports are identical with pruning disabled; only the counter
         // line changes (an unpruned scan skips nothing).
