@@ -9,6 +9,14 @@
 //! of that range. This is the same indexing discipline RDF stores like
 //! Jena TDB use, scaled down to the per-QEP graphs OptImatch works with
 //! (hundreds to a few thousand triples each).
+//!
+//! A graph also holds a numeric column, one `f64` per term
+//! ([`Graph::number`]), so a SPARQL FILTER compares a bound literal's
+//! number without parsing its text. It is filled on the first read, not
+//! when the graph is built: opening a repository or transforming a plan
+//! does not pay for it.
+
+use std::sync::OnceLock;
 
 use crate::pool::{TermId, TermPool};
 use crate::term::Term;
@@ -222,6 +230,9 @@ pub struct Graph {
     pos: Vec<u128>,
     osp: Vec<u128>,
     stats: GraphStats,
+    /// Each term's [`Term::numeric_value`] by id, NaN where it has none;
+    /// filled by the first [`Graph::number`].
+    numbers: OnceLock<Box<[f64]>>,
 }
 
 impl Graph {
@@ -237,6 +248,7 @@ impl Graph {
             spo,
             pos,
             stats,
+            numbers: OnceLock::new(),
         }
     }
 
@@ -279,9 +291,31 @@ impl Graph {
         self.pool.get(term)
     }
 
+    /// Look up the id of the IRI term `iri` without building the term.
+    pub fn iri_id(&self, iri: &str) -> Option<TermId> {
+        self.pool.get_iri(iri)
+    }
+
     /// Resolve an id back to its term.
     pub fn term(&self, id: TermId) -> &Term {
         self.pool.resolve(id)
+    }
+
+    /// The term's [`Term::numeric_value`], read from the graph's numeric
+    /// column. The first call on a graph fills the column, parsing each
+    /// term once; every later call is an array read.
+    ///
+    /// # Panics
+    /// Panics if the id did not come from this graph's pool.
+    pub fn number(&self, id: TermId) -> Option<f64> {
+        let numbers = self.numbers.get_or_init(|| {
+            self.pool
+                .iter()
+                .map(|(_, term)| term.numeric_value().unwrap_or(f64::NAN))
+                .collect()
+        });
+        let n = numbers[id.0 as usize];
+        (!n.is_nan()).then_some(n)
     }
 
     /// Whole-graph cardinality statistics, computed when the graph was
@@ -414,6 +448,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term;
 
     fn sample() -> Graph {
         let mut g = GraphBuilder::new();
@@ -608,6 +643,39 @@ mod tests {
         // A term that is never a predicate has no stats entry.
         let subj = g.term_id(&Term::iri("q:pop2")).unwrap();
         assert!(stats.predicate(subj).is_none());
+    }
+
+    #[test]
+    fn numeric_column_is_each_terms_numeric_value() {
+        let mut g = GraphBuilder::new();
+        let p = Term::iri("p:v");
+        for (i, o) in [
+            Term::lit_str("4043.0"),
+            Term::lit_str(" 1.93187e+06 "),
+            Term::lit_str("1e400"),
+            Term::lit_str("TBSCAN"),
+            Term::lit_integer(-7),
+            Term::lit_typed("42", term::xsd::STRING),
+            Term::Literal(crate::Literal::LangTagged {
+                lexical: "5".into(),
+                lang: "en".into(),
+            }),
+            Term::iri("12"),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            g.insert(Term::bnode(format!("n{i}")), p.clone(), o);
+        }
+        let g = g.build();
+        for (id, term) in g.pool().iter() {
+            assert_eq!(g.number(id), term.numeric_value(), "{term}");
+        }
+        let number = |t: Term| g.number(g.term_id(&t).unwrap());
+        assert_eq!(number(Term::lit_str(" 1.93187e+06 ")), Some(1_931_870.0));
+        assert_eq!(number(Term::lit_str("1e400")), Some(f64::INFINITY));
+        assert_eq!(number(Term::lit_typed("42", term::xsd::STRING)), None);
+        assert_eq!(number(Term::iri("12")), None);
     }
 
     #[test]

@@ -27,9 +27,22 @@ pub struct TermPool {
     slots: Vec<u32>,
 }
 
+/// The pool's hash of a term. An IRI hashes its text alone, so
+/// [`TermPool::get_iri`] finds it from a borrowed `&str`.
 fn hash_term(term: &Term) -> u64 {
+    match term {
+        Term::Iri(iri) => hash_iri(iri),
+        other => {
+            let mut h = FastHasher::default();
+            other.hash(&mut h);
+            h.finish()
+        }
+    }
+}
+
+fn hash_iri(iri: &str) -> u64 {
     let mut h = FastHasher::default();
-    term.hash(&mut h);
+    h.write(iri.as_bytes());
     h.finish()
 }
 
@@ -116,16 +129,27 @@ impl TermPool {
 
     /// Look up the id of a term without interning it.
     pub fn get(&self, term: &Term) -> Option<TermId> {
+        self.probe(hash_term(term), |t| t == term)
+    }
+
+    /// Look up the id of the IRI term `iri` without building the term:
+    /// one hash probe, no allocation.
+    pub fn get_iri(&self, iri: &str) -> Option<TermId> {
+        self.probe(hash_iri(iri), |t| matches!(t, Term::Iri(i) if i == iri))
+    }
+
+    /// The id of the term with this hash that `is` accepts.
+    fn probe(&self, hash: u64, is: impl Fn(&Term) -> bool) -> Option<TermId> {
         if self.slots.is_empty() {
             return None;
         }
         let mask = self.slots.len() - 1;
-        let mut j = hash_term(term) as usize & mask;
+        let mut j = hash as usize & mask;
         loop {
             match self.slots[j] {
                 0 => return None,
                 slot => {
-                    if &self.terms[(slot - 1) as usize] == term {
+                    if is(&self.terms[(slot - 1) as usize]) {
                         return Some(TermId(slot - 1));
                     }
                 }
@@ -209,6 +233,19 @@ mod tests {
             .map(|(_, t)| t.display_text().into_owned())
             .collect();
         assert_eq!(got, vec!["b", "a"]);
+    }
+
+    #[test]
+    fn iri_lookup_borrows_its_text() {
+        let mut p = TermPool::new();
+        let iri = p.intern(Term::iri("http://x/a"));
+        p.intern(Term::lit_str("http://x/b"));
+        p.intern(Term::bnode("http://x/c"));
+        assert_eq!(p.get_iri("http://x/a"), Some(iri));
+        // Equal text of another kind is not an IRI.
+        assert_eq!(p.get_iri("http://x/b"), None);
+        assert_eq!(p.get_iri("http://x/c"), None);
+        assert_eq!(TermPool::new().get_iri("http://x/a"), None);
     }
 
     #[test]
