@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use optimatch_rdf::Term;
 use optimatch_sparql::algebra::{translate, Plan};
-use optimatch_sparql::eval::{evaluate, evaluate_core, evaluate_tail, CoreRows};
+use optimatch_sparql::eval::{evaluate_core, evaluate_tail, CoreRows, Solutions};
 use optimatch_sparql::plan::explain_plan;
 use optimatch_sparql::{
     parse_query, Budget, EvalStats, PhysicalPlan, PlanOptions, RequiredPatterns,
@@ -156,9 +156,8 @@ impl Matcher {
         optimize: bool,
     ) -> Result<(Vec<PatternMatch>, EvalStats), Error> {
         crate::chaos::trip(&self.pattern.name)?;
-        let options = PlanOptions::default().optimize(optimize);
-        let (table, planner) = evaluate(&t.graph, &self.plan, options, budget)?;
-        Ok((matches_of(&table, t), planner))
+        let core = self.core_rows(t, budget, optimize)?;
+        self.finish(t, &core, budget, optimize)
     }
 
     /// True when `other`'s query has the same core and the same pruning
@@ -189,8 +188,8 @@ impl Matcher {
         optimize: bool,
     ) -> Result<(Vec<PatternMatch>, EvalStats), Error> {
         let options = PlanOptions::default().optimize(optimize);
-        let (table, planner) = evaluate_tail(&t.graph, &self.plan, core, options, budget)?;
-        Ok((matches_of(&table, t), planner))
+        let (solutions, planner) = evaluate_tail(&t.graph, &self.plan, core, options, budget)?;
+        Ok((matches_of(&solutions, t), planner))
     }
 
     /// The planner's physical plan for this pattern against one QEP's
@@ -349,18 +348,19 @@ impl MatcherCache {
     }
 }
 
-/// The matches a result table holds on one QEP: each row's bound columns,
-/// de-transformed.
-fn matches_of(table: &optimatch_sparql::ResultTable, t: &TransformedQep) -> Vec<PatternMatch> {
-    let mut out = Vec::with_capacity(table.len());
-    for row in 0..table.len() {
-        let mut bindings = Vec::with_capacity(table.vars().len());
-        for var in table.vars() {
-            let Some(term) = table.get(row, var) else {
+/// The matches of a query's solutions on one QEP: each solution's bound
+/// columns, de-transformed from the terms the solutions borrow.
+fn matches_of(solutions: &Solutions<'_>, t: &TransformedQep) -> Vec<PatternMatch> {
+    let columns = solutions.vars().count();
+    let mut out = Vec::with_capacity(solutions.len());
+    for row in 0..solutions.len() {
+        let mut bindings = Vec::with_capacity(columns);
+        for (name, term) in solutions.vars().zip(solutions.row(row)) {
+            let Some(term) = term else {
                 continue;
             };
             bindings.push(MatchBinding {
-                name: var.clone(),
+                name: name.to_string(),
                 target: detransform(term, t),
             });
         }
@@ -387,7 +387,7 @@ fn detransform(term: &Term, t: &TransformedQep) -> MatchTarget {
             if vocab::is_object_iri(iri) {
                 // Recover the qualified name by matching known objects.
                 for name in t.qep.base_objects.keys() {
-                    if vocab::object_iri(name) == *iri {
+                    if vocab::names_object(iri, name) {
                         return MatchTarget::Object(name.clone());
                     }
                 }

@@ -51,6 +51,21 @@ pub fn iri_to_pop_id(iri: &str) -> Option<u32> {
     iri.strip_prefix(POP_NS)?.strip_prefix("pop")?.parse().ok()
 }
 
+/// True when `iri` is [`object_iri`]`(qualified)`, compared without
+/// building that IRI.
+pub fn names_object(iri: &str, qualified: &str) -> bool {
+    let local = iri
+        .strip_prefix(POP_NS)
+        .and_then(|local| local.strip_prefix("obj_"));
+    local.is_some_and(|local| {
+        local.len() == qualified.len()
+            && local
+                .bytes()
+                .zip(qualified.bytes())
+                .all(|(l, q)| l == if q == b'.' { b'_' } else { q })
+    })
+}
+
 /// True when the IRI names a base-object resource.
 pub fn is_object_iri(iri: &str) -> bool {
     iri.strip_prefix(POP_NS)
@@ -210,6 +225,20 @@ mod tests {
         assert!(is_object_iri(&iri));
         assert!(!is_object_iri(&pop_iri(3)));
         assert_eq!(iri, "http://optimatch/qep#obj_BIGD_CUST_DIM");
+    }
+
+    #[test]
+    fn names_object_agrees_with_building_the_iri() {
+        let names = ["BIGD.CUST_DIM", "BIGD_CUST.DIM", "BIGD.CUST", "", "Ä.b"];
+        for iri in names.map(object_iri).iter().chain([&pop_iri(3)]) {
+            for name in names {
+                assert_eq!(
+                    names_object(iri, name),
+                    *iri == object_iri(name),
+                    "{iri} {name}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Translation from the AST into an executable algebra.
 //!
-//! Variables are renamed to dense slots so evaluation rows are flat
-//! `Vec<Option<TermId>>`s. The shapes follow the SPARQL algebra: group graph
-//! patterns become joins, `OPTIONAL` becomes a left join, group-level
-//! `FILTER`s are applied after the group's joins (standard scoping).
+//! Variables are renamed to dense slots, so an evaluation row is one
+//! `Option<TermId>` per slot, and each expression constant is classified
+//! once: a numeric constant carries its value. The shapes follow the
+//! SPARQL algebra: group graph patterns become joins, `OPTIONAL` becomes a
+//! left join, group-level `FILTER`s are applied after the group's joins
+//! (standard scoping).
 
 use std::collections::HashMap;
 
@@ -140,8 +142,9 @@ pub struct TriplePlan {
 pub enum CExpr {
     /// Variable slot reference.
     Slot(usize),
-    /// Constant term.
-    Constant(Term),
+    /// Constant term, with its [`Term::numeric_value`] (`None`: not
+    /// numeric); build one with [`CExpr::constant`].
+    Constant(Term, Option<f64>),
     /// `||`
     Or(Box<CExpr>, Box<CExpr>),
     /// `&&`
@@ -164,6 +167,14 @@ pub enum CExpr {
     AggregateRef(usize),
 }
 
+impl CExpr {
+    /// A constant, classified: numeric with its value, or not numeric.
+    pub fn constant(term: Term) -> CExpr {
+        let number = term.numeric_value();
+        CExpr::Constant(term, number)
+    }
+}
+
 /// Collect the [`Plan::exists_nodes`] indices an expression references —
 /// the evaluator must only evaluate those for a given filter, or an
 /// `EXISTS` subpattern containing its own `FILTER` would recurse into
@@ -171,7 +182,7 @@ pub enum CExpr {
 pub fn collect_exists_refs(e: &CExpr, out: &mut Vec<usize>) {
     match e {
         CExpr::Exists(idx, _) => out.push(*idx),
-        CExpr::Slot(_) | CExpr::Constant(_) | CExpr::AggregateRef(_) => {}
+        CExpr::Slot(_) | CExpr::Constant(..) | CExpr::AggregateRef(_) => {}
         CExpr::Or(a, b) | CExpr::And(a, b) => {
             collect_exists_refs(a, out);
             collect_exists_refs(b, out);
@@ -466,7 +477,7 @@ fn compile_expr(
 ) -> Result<CExpr, SparqlError> {
     Ok(match e {
         Expression::Var(v) => CExpr::Slot(vars.slot(v)),
-        Expression::Constant(t) => CExpr::Constant(t.clone()),
+        Expression::Constant(t) => CExpr::constant(t.clone()),
         Expression::Or(a, b) => CExpr::Or(
             Box::new(compile_expr(a, vars, exists_nodes)?),
             Box::new(compile_expr(b, vars, exists_nodes)?),
@@ -564,6 +575,39 @@ mod tests {
         let plan = translate(&q).unwrap();
         assert!(matches!(plan.projection[0].0, ProjExpr::Slot(0)));
         assert_eq!(plan.projection[0].1, "TOP");
+    }
+
+    #[test]
+    fn constants_are_classified_at_translation() {
+        let q = parse(
+            "SELECT ?a WHERE { ?a <p:x> ?b . \
+             FILTER (?b > 1.5e3 && ?b != \"TBSCAN\" && ?b != \" 12 \") }",
+        )
+        .unwrap();
+        let plan = translate(&q).unwrap();
+        let Node::Filter(expr, _) = &plan.root else {
+            panic!("expected a filter, got {:?}", plan.root)
+        };
+        let mut constants = Vec::new();
+        fn collect<'a>(e: &'a CExpr, out: &mut Vec<&'a CExpr>) {
+            match e {
+                CExpr::Constant(..) => out.push(e),
+                CExpr::And(a, b) | CExpr::Compare(_, a, b) => {
+                    collect(a, out);
+                    collect(b, out);
+                }
+                _ => {}
+            }
+        }
+        collect(expr, &mut constants);
+        let numbers: Vec<_> = constants
+            .iter()
+            .map(|c| match c {
+                CExpr::Constant(_, number) => *number,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(numbers, [Some(1500.0), None, Some(12.0)]);
     }
 
     #[test]

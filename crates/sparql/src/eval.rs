@@ -1,9 +1,20 @@
 //! Plan evaluation against a graph.
 //!
-//! Rows are flat `Vec<Option<TermId>>`s. Query constants that do not occur
-//! in the graph are interned into an *overlay pool* (ids past the graph
-//! pool's length), so expression evaluation can still resolve them while
-//! BGP matching knows they can never match a stored triple.
+//! The evaluator works on term ids from the first BGP step to its caller.
+//! A solution set is one flat table ([`Rows`]): each row is a slice of
+//! `Option<TermId>`s, one per variable slot, and the table counts its rows,
+//! so rows of no slots count too. Each BGP step reads one table and
+//! appends to a second, and the two swap; joins, unions, BINDs and FILTERs
+//! run over row slices, and an `EXISTS` subpattern is seeded from one.
+//!
+//! Query constants and computed values the graph lacks are interned into
+//! an *overlay pool* (ids past the graph pool's length), each with its
+//! number, read once when it is interned. BGP matching knows an overlay
+//! id can never match a stored triple; a FILTER reads a bound literal's
+//! number from the graph's numeric column ([`Graph::number`]) or the
+//! overlay, never from its text. The pool and the overlay are
+//! deduplicated and disjoint, so equal ids are equal terms, and
+//! projection, DISTINCT and slicing stay on ids too.
 //!
 //! A BGP runs the steps `plan::BgpSteps` yields, one at a time:
 //! with the planner on, the cheapest pattern under the bound variables so
@@ -14,14 +25,18 @@
 //!
 //! [`evaluate`] runs a plan in two halves: [`evaluate_core`] builds the
 //! rows of its core ([`Plan::core`]), and [`evaluate_tail`] runs the rest
-//! over them. Plans whose cores are equal ([`Plan::same_core`]) can share
-//! one core's rows; each tail then charges its budget exactly as the
-//! whole evaluation would.
+//! over them and returns [`Solutions`], the projected ids with what
+//! resolves them. Plans whose cores are equal ([`Plan::same_core`]) can
+//! share one core's rows; each tail then charges its budget exactly as the
+//! whole evaluation would. Only [`evaluate`] resolves the solutions into a
+//! [`ResultTable`].
 
-use std::borrow::{Borrow, Cow};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
 
-use optimatch_rdf::{Graph, Term, TermId};
+use optimatch_rdf::numeric::parse_numeric;
+use optimatch_rdf::{Graph, Term, TermId, TermPool};
 
 use crate::algebra::{
     collect_exists_refs, CExpr, Node, Plan, PlanNodePattern, ProjExpr, TriplePlan,
@@ -29,28 +44,172 @@ use crate::algebra::{
 use crate::ast::Path;
 use crate::budget::Budget;
 use crate::error::SparqlError;
-use crate::expr::{eval_expr, order_values, Value};
+use crate::expr::{eval_expr, order_values, term_text, TermRef, Value};
 use crate::path::{compile_path, eval_path};
 use crate::plan::{Access, BgpSteps, EvalStats, PlanOptions, Step};
 use crate::results::ResultTable;
 
-/// A solution row: one optional binding per variable slot.
-pub type Row = Vec<Option<TermId>>;
+/// A solution: one optional binding per variable slot.
+type Row = [Option<TermId>];
 
-/// Query constants absent from the graph, interned past the graph pool's
-/// length.
+/// A solution set: `len` rows of `width` slots each, in one flat table.
 #[derive(Debug, Clone, Default)]
-struct Overlay {
-    terms: Vec<Term>,
-    ids: HashMap<Term, TermId>,
+struct Rows {
+    width: usize,
+    len: usize,
+    slots: Vec<Option<TermId>>,
 }
 
-/// Evaluation context: the graph plus the overlay pool for query constants.
-struct Ctx<'g> {
+impl Rows {
+    /// An empty table of `width` slots per row.
+    fn new(width: usize) -> Rows {
+        Rows {
+            width,
+            len: 0,
+            slots: Vec::new(),
+        }
+    }
+
+    /// A table holding `row` alone.
+    fn one(row: &Row) -> Rows {
+        Rows {
+            width: row.len(),
+            len: 1,
+            slots: row.to_vec(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn row(&self, i: usize) -> &Row {
+        &self.slots[i * self.width..(i + 1) * self.width]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Row> + '_ {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    fn push(&mut self, row: &Row) {
+        self.extend_row(row.iter().copied());
+    }
+
+    /// Append the row whose slots `slots` yields, `width` of them.
+    fn extend_row(&mut self, slots: impl IntoIterator<Item = Option<TermId>>) {
+        self.slots.extend(slots);
+        self.len += 1;
+        debug_assert_eq!(self.slots.len(), self.len * self.width);
+    }
+
+    /// Append a copy of `row` that `bind` then completes; `bind` returning
+    /// false (an incompatible binding) takes the copy back out.
+    fn push_bound(&mut self, row: &Row, bind: impl FnOnce(&mut Row) -> bool) -> bool {
+        let start = self.slots.len();
+        self.slots.extend_from_slice(row);
+        let kept = bind(&mut self.slots[start..]);
+        if kept {
+            self.len += 1;
+        } else {
+            self.slots.truncate(start);
+        }
+        kept
+    }
+
+    /// Keep the first `len` rows.
+    fn truncate(&mut self, len: usize) {
+        self.slots.truncate(len * self.width);
+        self.len = self.len.min(len);
+    }
+
+    fn clear(&mut self) {
+        self.truncate(0);
+    }
+}
+
+/// Terms the graph lacks, interned past the graph pool's length, each
+/// with its [`Term::numeric_value`].
+#[derive(Debug, Clone, Default)]
+struct Overlay {
+    pool: TermPool,
+    numbers: Vec<Option<f64>>,
+}
+
+/// What an evaluation's ids stand for: the graph's pool, then the overlay
+/// past its end.
+#[derive(Debug)]
+struct Terms<'g> {
     graph: &'g Graph,
     graph_terms: usize,
-    /// Borrowed from the core while a tail only reads it.
+    /// Borrowed from the core until a tail interns a term of its own.
     overlay: Cow<'g, Overlay>,
+}
+
+impl<'g> Terms<'g> {
+    fn new(graph: &'g Graph, overlay: Cow<'g, Overlay>) -> Terms<'g> {
+        Terms {
+            graph,
+            graph_terms: graph.pool().len(),
+            overlay,
+        }
+    }
+
+    /// Intern a term: graph id when present, overlay id otherwise.
+    fn intern(&mut self, term: Cow<'_, Term>) -> TermId {
+        if let Some(id) = self.graph.term_id(&term) {
+            return id;
+        }
+        let local = match self.overlay.pool.get(&term) {
+            Some(local) => local,
+            None => {
+                let overlay = self.overlay.to_mut();
+                overlay.numbers.push(term.numeric_value());
+                overlay.pool.intern(term.into_owned())
+            }
+        };
+        TermId(self.graph_terms as u32 + local.0)
+    }
+
+    /// True when the id refers to a term stored in the graph.
+    fn in_graph(&self, id: TermId) -> bool {
+        (id.0 as usize) < self.graph_terms
+    }
+
+    /// Resolve any id (graph or overlay) to its term.
+    fn resolve(&self, id: TermId) -> &Term {
+        match (id.0 as usize).checked_sub(self.graph_terms) {
+            None => self.graph.term(id),
+            Some(i) => self.overlay.pool.resolve(TermId(i as u32)),
+        }
+    }
+
+    /// The term's number, from the graph's column or the overlay.
+    fn number(&self, id: TermId) -> Option<f64> {
+        match (id.0 as usize).checked_sub(self.graph_terms) {
+            None => self.graph.number(id),
+            Some(i) => self.overlay.numbers[i],
+        }
+    }
+
+    /// What an expression reads of the term `slot` binds in `row`.
+    fn get<'s>(&'s self, row: &Row, slot: usize) -> Option<TermRef<'s>> {
+        let id = row.get(slot).copied().flatten()?;
+        Some(TermRef {
+            term: Cow::Borrowed(self.resolve(id)),
+            id: Some(id),
+            number: self.number(id),
+        })
+    }
+}
+
+/// Evaluation context: the terms, the planner options and trace, the
+/// budget, and the `EXISTS` results of the row being evaluated.
+struct Ctx<'g> {
+    terms: Terms<'g>,
     /// Greedy or source-order BGP steps.
     options: PlanOptions,
     /// Planner decision counters accumulated during evaluation; empty in
@@ -59,54 +218,47 @@ struct Ctx<'g> {
     /// The evaluation budget; every row produced, triple matched, and join
     /// pair considered charges it.
     budget: &'g Budget,
+    /// What each `EXISTS` subpattern found for the row being evaluated, by
+    /// [`Plan::exists_nodes`] index. An expression evaluates the ones it
+    /// names just before it reads them, so no slot it reads is stale; a
+    /// nested subpattern writes only its own slots.
+    exists: Vec<Option<bool>>,
 }
 
 impl<'g> Ctx<'g> {
     fn new(
         graph: &'g Graph,
+        plan: &Plan,
         overlay: Cow<'g, Overlay>,
         trace: EvalStats,
         options: PlanOptions,
         budget: &'g Budget,
     ) -> Ctx<'g> {
         Ctx {
-            graph,
-            graph_terms: graph.pool().len(),
-            overlay,
+            terms: Terms::new(graph, overlay),
             options,
             trace,
             budget,
+            exists: vec![None; plan.exists_nodes.len()],
         }
     }
 
-    /// Intern a term: graph id when present, overlay id otherwise.
-    fn intern(&mut self, term: &Term) -> TermId {
-        if let Some(id) = self.graph.term_id(term) {
-            return id;
-        }
-        if let Some(&id) = self.overlay.ids.get(term) {
-            return id;
-        }
-        let overlay = self.overlay.to_mut();
-        let id = TermId((self.graph_terms + overlay.terms.len()) as u32);
-        overlay.terms.push(term.clone());
-        overlay.ids.insert(term.clone(), id);
-        id
+    /// Evaluate `expr` on `row`, reading the `EXISTS` results evaluated
+    /// for it.
+    fn eval<'s>(&'s self, expr: &'s CExpr, row: &'s Row) -> Option<Value<'s>> {
+        let get = |slot: usize| self.terms.get(row, slot);
+        let exists = |idx: usize| self.exists.get(idx).copied().flatten();
+        eval_expr(expr, &get, &exists)
     }
 
-    /// Resolve any id (graph or overlay) to its term.
-    fn resolve(&self, id: TermId) -> &Term {
-        let i = id.0 as usize;
-        if i < self.graph_terms {
-            self.graph.term(id)
-        } else {
-            &self.overlay.terms[i - self.graph_terms]
-        }
-    }
-
-    /// True when the id refers to a term stored in the graph.
-    fn in_graph(&self, id: TermId) -> bool {
-        (id.0 as usize) < self.graph_terms
+    /// Evaluate `expr` on `row` to a term id, interning a computed value;
+    /// `None` when the expression errs.
+    fn eval_id(&mut self, expr: &CExpr, row: &Row) -> Option<TermId> {
+        let term = match self.eval(expr, row)? {
+            Value::Term(TermRef { id: Some(id), .. }) => return Some(id),
+            value => value_to_term(&value),
+        };
+        Some(self.terms.intern(Cow::Owned(term)))
     }
 }
 
@@ -115,18 +267,61 @@ impl<'g> Ctx<'g> {
 /// trace so far. Built by [`evaluate_core`], read by [`evaluate_tail`].
 #[derive(Debug)]
 pub struct CoreRows {
-    rows: Vec<Row>,
+    rows: Rows,
     overlay: Overlay,
     trace: EvalStats,
 }
 
+/// A plan's solutions on one graph as term ids, with what resolves them:
+/// the graph's pool and the evaluation's overlay. Rows are in the order
+/// the query's modifiers give.
+#[derive(Debug)]
+pub struct Solutions<'a> {
+    plan: &'a Plan,
+    terms: Terms<'a>,
+    rows: Rows,
+}
+
+impl Solutions<'_> {
+    /// Number of solutions.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when there are none.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The projected column names, in order.
+    pub fn vars(&self) -> impl Iterator<Item = &str> + '_ {
+        self.plan.projection.iter().map(|(_, name)| name.as_str())
+    }
+
+    /// Solution `i`'s terms, one per column, `None` where unbound.
+    pub fn row(&self, i: usize) -> impl Iterator<Item = Option<&Term>> + '_ {
+        let row = self.rows.row(i);
+        row.iter().map(|id| id.map(|id| self.terms.resolve(id)))
+    }
+
+    /// The solutions resolved into owned terms.
+    pub fn table(&self) -> ResultTable {
+        let vars = self.vars().map(str::to_string).collect();
+        let rows = (0..self.len())
+            .map(|i| self.row(i).map(|term| term.cloned()).collect())
+            .collect();
+        ResultTable::new(vars, rows)
+    }
+}
+
 /// Evaluate a compiled plan against a graph under [`PlanOptions`] and a
 /// [`Budget`], returning the planner's decision trace alongside the
-/// results: [`evaluate_tail`] over [`evaluate_core`], on one budget. With
-/// `optimize: false` the trace is empty and evaluation runs in source
-/// order (the correctness oracle). Results do not depend on the budget
-/// while it holds; exceeding it returns [`SparqlError::BudgetExceeded`]
-/// with the accounting snapshot.
+/// results: [`evaluate_tail`] over [`evaluate_core`], on one budget, with
+/// the solutions resolved into a [`ResultTable`]. With `optimize: false`
+/// the trace is empty and evaluation runs in source order (the
+/// correctness oracle). Results do not depend on the budget while it
+/// holds; exceeding it returns [`SparqlError::BudgetExceeded`] with the
+/// accounting snapshot.
 pub fn evaluate(
     graph: &Graph,
     plan: &Plan,
@@ -134,7 +329,8 @@ pub fn evaluate(
     budget: &Budget,
 ) -> Result<(ResultTable, EvalStats), SparqlError> {
     let core = evaluate_core(graph, plan, options, budget)?;
-    evaluate_tail(graph, plan, &core, options, budget)
+    let (solutions, trace) = evaluate_tail(graph, plan, &core, options, budget)?;
+    Ok((solutions.table(), trace))
 }
 
 /// Evaluate the core of a plan ([`Plan::core`]): the rows the root's
@@ -146,11 +342,11 @@ pub fn evaluate_core(
     budget: &Budget,
 ) -> Result<CoreRows, SparqlError> {
     let overlay = Cow::Owned(Overlay::default());
-    let mut ctx = Ctx::new(graph, overlay, EvalStats::default(), options, budget);
+    let mut ctx = Ctx::new(graph, plan, overlay, EvalStats::default(), options, budget);
     let rows = eval_node(&mut ctx, plan.core(), plan, &vec![None; plan.vars.len()])?;
     Ok(CoreRows {
         rows,
-        overlay: ctx.overlay.into_owned(),
+        overlay: ctx.terms.overlay.into_owned(),
         trace: ctx.trace,
     })
 }
@@ -160,161 +356,234 @@ pub fn evaluate_core(
 /// rows may come from another plan whose core is the same
 /// ([`Plan::same_core`]). `budget` goes on from where the core left it, so
 /// a tail charges and fails exactly as the whole evaluation would; the
-/// trace returned is the core's plus the tail's.
-pub fn evaluate_tail(
-    graph: &Graph,
-    plan: &Plan,
-    core: &CoreRows,
+/// trace returned is the core's plus the tail's. The tail copies the
+/// core's overlay only if it interns a value of its own.
+pub fn evaluate_tail<'a>(
+    graph: &'a Graph,
+    plan: &'a Plan,
+    core: &'a CoreRows,
     options: PlanOptions,
-    budget: &Budget,
-) -> Result<(ResultTable, EvalStats), SparqlError> {
+    budget: &'a Budget,
+) -> Result<(Solutions<'a>, EvalStats), SparqlError> {
     let overlay = Cow::Borrowed(&core.overlay);
-    let mut ctx = Ctx::new(graph, overlay, core.trace, options, budget);
-    let rows = filter_tail(&mut ctx, plan, &plan.root, core.rows.iter().collect())?;
-
-    // Aggregation path: group rows, compute aggregates per group.
+    let mut ctx = Ctx::new(graph, plan, overlay, core.trace, options, budget);
+    let mut rows: Vec<&Row> = core.rows.iter().collect();
+    filter_tail(&mut ctx, plan, &plan.root, &mut rows)?;
     let has_aggregate = plan
         .projection
         .iter()
         .any(|(p, _)| matches!(p, ProjExpr::Aggregate(_, _)));
-    if has_aggregate || !plan.group_by.is_empty() {
-        let trace = ctx.trace;
-        return materialize_grouped(&mut ctx, plan, rows).map(|t| (t, trace));
-    }
-
-    // Compute (projected row, order keys) per solution.
-    let mut materialized: Vec<(Vec<Option<Term>>, Vec<OrderKey>)> = Vec::with_capacity(rows.len());
-    // Exists indices referenced by projections / order keys (usually none).
-    let mut out_refs = Vec::new();
-    for (proj, _) in &plan.projection {
-        if let ProjExpr::Expr(e) = proj {
-            collect_exists_refs(e, &mut out_refs);
-        }
-    }
-    for (e, _) in &plan.order_by {
-        collect_exists_refs(e, &mut out_refs);
-    }
-    for row in rows {
-        // Pre-evaluated per row: the lookup closure below borrows the
-        // context, so EXISTS cannot re-enter the evaluator lazily.
-        let exists_results = eval_exists_refs(&mut ctx, plan, &out_refs, row);
-        let lookup = |slot: usize| row.get(slot).copied().flatten().map(|id| ctx.resolve(id));
-        let exists = |idx: usize| exists_results.get(idx).copied().flatten();
-        let mut out = Vec::with_capacity(plan.projection.len());
-        for (proj, _) in &plan.projection {
-            match proj {
-                ProjExpr::Slot(s) => out.push(
-                    row.get(*s)
-                        .copied()
-                        .flatten()
-                        .map(|id| ctx.resolve(id).clone()),
-                ),
-                ProjExpr::Expr(e) => {
-                    out.push(eval_expr(e, &lookup, &exists).map(|v| value_to_term(&v)));
-                }
-                // Aggregates divert to the grouped path above.
-                ProjExpr::Aggregate(_, _) => unreachable!("handled by materialize_grouped"),
-            }
-        }
-        let mut keys = Vec::with_capacity(plan.order_by.len());
-        for (expr, asc) in &plan.order_by {
-            let v = eval_expr(expr, &lookup, &exists);
-            keys.push(OrderKey {
-                value: v.map(|v| owned_order_value(&v)),
-                ascending: *asc,
-            });
-        }
-        materialized.push((out, keys));
-    }
-
-    finish_table(plan, materialized).map(|t| (t, ctx.trace))
+    let (projected, keys) = if has_aggregate || !plan.group_by.is_empty() {
+        project_groups(&mut ctx, plan, &rows)
+    } else {
+        project(&mut ctx, plan, &rows)
+    };
+    let rows = modify(&ctx.terms, plan, projected, &keys);
+    let solutions = Solutions {
+        plan,
+        terms: ctx.terms,
+        rows,
+    };
+    Ok((solutions, ctx.trace))
 }
 
-/// Apply the FILTER chain from `node` down to the core, innermost first.
-fn filter_tail<'r>(
+/// Apply the FILTER chain from `node` down to the core, innermost first,
+/// keeping the rows each one accepts.
+fn filter_tail(
     ctx: &mut Ctx<'_>,
     plan: &Plan,
     node: &Node,
-    rows: Vec<&'r Row>,
-) -> Result<Vec<&'r Row>, SparqlError> {
+    rows: &mut Vec<&Row>,
+) -> Result<(), SparqlError> {
     let Node::Filter(expr, inner) = node else {
-        return Ok(rows);
+        return Ok(());
     };
-    let rows = filter_tail(ctx, plan, inner, rows)?;
-    filter_rows(ctx, plan, expr, rows)
+    filter_tail(ctx, plan, inner, rows)?;
+    let refs = exists_refs(expr);
+    let mut kept = 0;
+    for i in 0..rows.len() {
+        let row = rows[i];
+        if keeps(ctx, plan, expr, &refs, row)? {
+            rows[kept] = row;
+            kept += 1;
+        }
+    }
+    rows.truncate(kept);
+    Ok(())
 }
 
-/// The rows a FILTER keeps, charging one step per row. Referenced
-/// `EXISTS` subpatterns re-enter the evaluator seeded with each row.
-fn filter_rows<R: Borrow<Row>>(
+/// Keep the rows of `rows` that a FILTER accepts, in place.
+fn filter_rows(
     ctx: &mut Ctx<'_>,
     plan: &Plan,
     expr: &CExpr,
-    rows: Vec<R>,
-) -> Result<Vec<R>, SparqlError> {
+    rows: &mut Rows,
+) -> Result<(), SparqlError> {
     let refs = exists_refs(expr);
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        ctx.budget.charge(1)?;
-        let keep = {
-            let row = row.borrow();
-            // Evaluated before the lookup closure borrows the context.
-            let exists_results = eval_exists_refs(ctx, plan, &refs, row);
-            let lookup = |slot: usize| row.get(slot).copied().flatten().map(|id| ctx.resolve(id));
-            let exists = |idx: usize| exists_results.get(idx).copied().flatten();
-            eval_expr(expr, &lookup, &exists)
-                .and_then(|v| v.effective_boolean())
-                .unwrap_or(false)
-        };
-        if keep {
-            out.push(row);
+    let mut kept = 0;
+    for i in 0..rows.len() {
+        if keeps(ctx, plan, expr, &refs, rows.row(i))? {
+            let width = rows.width;
+            rows.slots
+                .copy_within(i * width..(i + 1) * width, kept * width);
+            kept += 1;
         }
     }
-    Ok(out)
+    rows.truncate(kept);
+    Ok(())
 }
 
-/// Owned order-by key, computed once per row before sorting.
-struct OrderKey {
-    value: Option<OwnedValue>,
-    ascending: bool,
+/// Whether a FILTER keeps `row`, charging one step. The `EXISTS`
+/// subpatterns it references (`refs`) re-enter the evaluator seeded with
+/// the row first.
+fn keeps(
+    ctx: &mut Ctx<'_>,
+    plan: &Plan,
+    expr: &CExpr,
+    refs: &[usize],
+    row: &Row,
+) -> Result<bool, SparqlError> {
+    ctx.budget.charge(1)?;
+    eval_exists_refs(ctx, plan, refs, row);
+    Ok(ctx
+        .eval(expr, row)
+        .and_then(|v| v.effective_boolean())
+        .unwrap_or(false))
 }
 
-/// Owned snapshot of a [`Value`] for sorting.
-enum OwnedValue {
+/// One solution's value of one ORDER BY key. It orders as
+/// [`order_values`] orders the value read back from today's owned keys:
+/// unbound first, then numbers (text that reads as one included), then
+/// text. A bound term's text stays in the pool until the sort compares it.
+enum SortKey {
+    Unbound,
     Number(f64),
+    Term(TermId),
+    /// The text of a constant or a computed value.
     Text(String),
 }
 
-fn owned_order_value(v: &Value<'_>) -> OwnedValue {
-    match v.as_number() {
-        Some(n) => OwnedValue::Number(n),
-        None => OwnedValue::Text(v.as_str().map(|s| s.into_owned()).unwrap_or_default()),
+impl SortKey {
+    fn of(value: Option<Value<'_>>) -> SortKey {
+        let Some(value) = value else {
+            return SortKey::Unbound;
+        };
+        if let Some(n) = value.as_number() {
+            return SortKey::Number(n);
+        }
+        let text = value.as_str();
+        if let Some(n) = text.as_deref().and_then(parse_numeric) {
+            return SortKey::Number(n);
+        }
+        match &value {
+            Value::Term(TermRef { id: Some(id), .. }) => SortKey::Term(*id),
+            _ => SortKey::Text(text.map(Cow::into_owned).unwrap_or_default()),
+        }
+    }
+
+    fn text<'t>(&'t self, terms: &'t Terms<'_>) -> &'t str {
+        match self {
+            SortKey::Term(id) => term_text(terms.resolve(*id)).unwrap_or(""),
+            SortKey::Text(text) => text,
+            SortKey::Unbound | SortKey::Number(_) => "",
+        }
+    }
+
+    fn cmp(&self, other: &SortKey, terms: &Terms<'_>) -> Ordering {
+        match (self, other) {
+            (SortKey::Unbound, SortKey::Unbound) => Ordering::Equal,
+            (SortKey::Unbound, _) => Ordering::Less,
+            (_, SortKey::Unbound) => Ordering::Greater,
+            (SortKey::Number(x), SortKey::Number(y)) => x.partial_cmp(y).unwrap_or(Ordering::Equal),
+            (SortKey::Number(_), _) => Ordering::Less,
+            (_, SortKey::Number(_)) => Ordering::Greater,
+            _ => self.text(terms).cmp(other.text(terms)),
+        }
     }
 }
 
-fn owned_to_value(v: &OwnedValue) -> Value<'_> {
-    match v {
-        OwnedValue::Number(n) => Value::Number(*n),
-        OwnedValue::Text(t) => Value::Str(std::borrow::Cow::Borrowed(t)),
+/// Each solution's projected ids, and its ORDER BY keys (`order_by.len()`
+/// per solution).
+fn project(ctx: &mut Ctx<'_>, plan: &Plan, rows: &[&Row]) -> (Rows, Vec<SortKey>) {
+    // The EXISTS subpatterns the projection and the keys reference (usually
+    // none), evaluated per solution first.
+    let mut refs = Vec::new();
+    for (proj, _) in &plan.projection {
+        if let ProjExpr::Expr(e) = proj {
+            collect_exists_refs(e, &mut refs);
+        }
     }
+    for (e, _) in &plan.order_by {
+        collect_exists_refs(e, &mut refs);
+    }
+    let mut projected = Rows::new(plan.projection.len());
+    projected.slots.reserve(rows.len() * projected.width);
+    let mut keys = Vec::with_capacity(rows.len() * plan.order_by.len());
+    for &row in rows {
+        eval_exists_refs(ctx, plan, &refs, row);
+        projected.extend_row(plan.projection.iter().map(|(proj, _)| match proj {
+            ProjExpr::Slot(s) => row.get(*s).copied().flatten(),
+            ProjExpr::Expr(e) => ctx.eval_id(e, row),
+            // Aggregates divert to `project_groups`.
+            ProjExpr::Aggregate(_, _) => unreachable!("handled by project_groups"),
+        }));
+        for (expr, _) in &plan.order_by {
+            keys.push(SortKey::of(ctx.eval(expr, row)));
+        }
+    }
+    (projected, keys)
 }
 
-/// Group the solution rows by the `GROUP BY` slots and materialize one
-/// output row per group, computing aggregates. With no `GROUP BY` the
-/// whole solution set is a single group (even when empty, per SPARQL:
-/// `COUNT(*)` over no rows is 0).
-fn materialize_grouped(
-    ctx: &mut Ctx<'_>,
-    plan: &Plan,
-    rows: Vec<&Row>,
-) -> Result<ResultTable, SparqlError> {
+/// Sort the projected solutions by their keys (a stable sort), drop
+/// repeats under DISTINCT, then apply OFFSET and LIMIT.
+fn modify(terms: &Terms<'_>, plan: &Plan, projected: Rows, keys: &[SortKey]) -> Rows {
+    let width = plan.order_by.len();
+    if width == 0 && !plan.distinct && plan.offset.is_none() && plan.limit.is_none() {
+        return projected;
+    }
+    let mut order: Vec<usize> = (0..projected.len()).collect();
+    if width > 0 {
+        order.sort_by(|&a, &b| {
+            let pairs = keys[a * width..(a + 1) * width]
+                .iter()
+                .zip(&keys[b * width..(b + 1) * width]);
+            for ((ka, kb), (_, ascending)) in pairs.zip(&plan.order_by) {
+                let ord = ka.cmp(kb, terms);
+                let ord = if *ascending { ord } else { ord.reverse() };
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+            Ordering::Equal
+        });
+    }
+    let mut seen = HashSet::new();
+    let mut out = Rows::new(projected.width);
+    let kept = order
+        .into_iter()
+        .map(|i| projected.row(i))
+        .filter(|row| !plan.distinct || seen.insert(*row))
+        .skip(plan.offset.unwrap_or(0))
+        .take(plan.limit.unwrap_or(usize::MAX));
+    for row in kept {
+        out.push(row);
+    }
+    out
+}
+
+/// Group the solutions by the `GROUP BY` slots and project one row per
+/// group, computing aggregates, with its ORDER BY keys. With no
+/// `GROUP BY` the whole solution set is a single group (even when empty,
+/// per SPARQL: `COUNT(*)` over no rows is 0). Expressions here read a
+/// synthetic row that binds only the group key; `EXISTS` is an error.
+fn project_groups(ctx: &mut Ctx<'_>, plan: &Plan, rows: &[&Row]) -> (Rows, Vec<SortKey>) {
     let mut order: Vec<Vec<Option<TermId>>> = Vec::new();
     let mut groups: HashMap<Vec<Option<TermId>>, Vec<&Row>> = HashMap::new();
     if plan.group_by.is_empty() {
         order.push(Vec::new());
-        groups.insert(Vec::new(), rows);
+        groups.insert(Vec::new(), rows.to_vec());
     } else {
-        for row in rows {
+        for &row in rows {
             let key: Vec<Option<TermId>> = plan
                 .group_by
                 .iter()
@@ -328,91 +597,55 @@ fn materialize_grouped(
         }
     }
 
-    let mut out_rows: Vec<(Vec<Option<Term>>, Vec<OrderKey>)> = Vec::with_capacity(order.len());
+    let no_exists = |_: usize| None;
+    let mut projected = Rows::new(plan.projection.len());
+    let mut keys = Vec::new();
     for key in &order {
         let group = &groups[key];
-
-        // HAVING: evaluate the constraint with aggregate values substituted
-        // in, against a synthetic row carrying the group key.
+        let mut synthetic: Vec<Option<TermId>> = vec![None; plan.vars.len()];
+        for (slot, value) in plan.group_by.iter().zip(key) {
+            synthetic[*slot] = *value;
+        }
+        // HAVING: the constraint with the group's aggregate values
+        // substituted in, against the synthetic row.
         if let Some(having) = &plan.having {
             let agg_values: Vec<Option<Term>> = plan
                 .having_aggregates
                 .iter()
-                .map(|(func, arg)| eval_aggregate(ctx, *func, arg.as_ref(), group))
+                .map(|(func, arg)| eval_aggregate(&ctx.terms, *func, arg.as_ref(), group))
                 .collect();
             let substituted = substitute_aggregates(having, &agg_values);
-            let mut synthetic: Row = vec![None; plan.vars.len()];
-            for (slot, value) in plan.group_by.iter().zip(key) {
-                synthetic[*slot] = *value;
-            }
-            let keep = {
-                let lookup = |slot: usize| {
-                    synthetic
-                        .get(slot)
-                        .copied()
-                        .flatten()
-                        .map(|id| ctx.resolve(id))
-                };
-                eval_expr(&substituted, &lookup, &|_: usize| None)
-                    .and_then(|v| v.effective_boolean())
-                    .unwrap_or(false)
-            };
+            let get = |slot: usize| ctx.terms.get(&synthetic, slot);
+            let keep = eval_expr(&substituted, &get, &no_exists)
+                .and_then(|v| v.effective_boolean())
+                .unwrap_or(false);
             if !keep {
                 continue;
             }
         }
-        // Synthetic row carrying only the group key (for ORDER BY).
-        let mut synthetic: Row = vec![None; plan.vars.len()];
-        for (slot, value) in plan.group_by.iter().zip(key) {
-            synthetic[*slot] = *value;
-        }
-
-        let mut out = Vec::with_capacity(plan.projection.len());
-        for (proj, _) in &plan.projection {
-            match proj {
-                ProjExpr::Slot(s) => out.push(
-                    synthetic
-                        .get(*s)
-                        .copied()
-                        .flatten()
-                        .map(|id| ctx.resolve(id).clone()),
-                ),
-                ProjExpr::Expr(e) => {
-                    // Validated unreachable under grouping, but evaluate
-                    // against the synthetic row for robustness.
-                    let lookup = |slot: usize| {
-                        synthetic
-                            .get(slot)
-                            .copied()
-                            .flatten()
-                            .map(|id| ctx.resolve(id))
-                    };
-                    out.push(eval_expr(e, &lookup, &|_: usize| None).map(|v| value_to_term(&v)));
-                }
-                ProjExpr::Aggregate(func, arg) => {
-                    out.push(eval_aggregate(ctx, *func, arg.as_ref(), group));
-                }
+        projected.extend_row(plan.projection.iter().map(|(proj, _)| match proj {
+            ProjExpr::Slot(s) => synthetic.get(*s).copied().flatten(),
+            // Validated unreachable under grouping, but evaluated against
+            // the synthetic row for robustness.
+            ProjExpr::Expr(e) => {
+                let get = |slot: usize| ctx.terms.get(&synthetic, slot);
+                let term = match eval_expr(e, &get, &no_exists)? {
+                    Value::Term(TermRef { id: Some(id), .. }) => return Some(id),
+                    value => value_to_term(&value),
+                };
+                Some(ctx.terms.intern(Cow::Owned(term)))
             }
+            ProjExpr::Aggregate(func, arg) => {
+                let term = eval_aggregate(&ctx.terms, *func, arg.as_ref(), group)?;
+                Some(ctx.terms.intern(Cow::Owned(term)))
+            }
+        }));
+        for (expr, _) in &plan.order_by {
+            let get = |slot: usize| ctx.terms.get(&synthetic, slot);
+            keys.push(SortKey::of(eval_expr(expr, &get, &no_exists)));
         }
-        let mut keys = Vec::with_capacity(plan.order_by.len());
-        for (expr, asc) in &plan.order_by {
-            let lookup = |slot: usize| {
-                synthetic
-                    .get(slot)
-                    .copied()
-                    .flatten()
-                    .map(|id| ctx.resolve(id))
-            };
-            let v = eval_expr(expr, &lookup, &|_: usize| None);
-            keys.push(OrderKey {
-                value: v.map(|v| owned_order_value(&v)),
-                ascending: *asc,
-            });
-        }
-        out_rows.push((out, keys));
     }
-
-    finish_table(plan, out_rows)
+    (projected, keys)
 }
 
 /// Replace [`CExpr::AggregateRef`] leaves with the group's computed
@@ -421,10 +654,10 @@ fn materialize_grouped(
 fn substitute_aggregates(expr: &CExpr, values: &[Option<Term>]) -> CExpr {
     match expr {
         CExpr::AggregateRef(idx) => match values.get(*idx).cloned().flatten() {
-            Some(term) => CExpr::Constant(term),
+            Some(term) => CExpr::constant(term),
             None => CExpr::Slot(usize::MAX),
         },
-        CExpr::Slot(_) | CExpr::Constant(_) | CExpr::Exists(_, _) => expr.clone(),
+        CExpr::Slot(_) | CExpr::Constant(..) | CExpr::Exists(_, _) => expr.clone(),
         CExpr::Or(a, b) => CExpr::Or(
             Box::new(substitute_aggregates(a, values)),
             Box::new(substitute_aggregates(b, values)),
@@ -456,7 +689,7 @@ fn substitute_aggregates(expr: &CExpr, values: &[Option<Term>]) -> CExpr {
 
 /// Compute one aggregate over a group's rows.
 fn eval_aggregate(
-    ctx: &mut Ctx<'_>,
+    terms: &Terms<'_>,
     func: crate::ast::AggFunc,
     arg: Option<&CExpr>,
     group: &[&Row],
@@ -465,17 +698,10 @@ fn eval_aggregate(
     // Evaluate the argument per row (None argument = the row itself).
     let values: Vec<Value<'_>> = match arg {
         None => return Some(Term::lit_integer(group.len() as i64)),
-        Some(expr) => {
-            let mut vs = Vec::with_capacity(group.len());
-            for row in group {
-                let lookup =
-                    |slot: usize| row.get(slot).copied().flatten().map(|id| ctx.resolve(id));
-                if let Some(v) = eval_expr(expr, &lookup, &|_: usize| None) {
-                    vs.push(v);
-                }
-            }
-            vs
-        }
+        Some(expr) => group
+            .iter()
+            .filter_map(|row| eval_expr(expr, &|slot| terms.get(row, slot), &|_| None))
+            .collect(),
     };
     match func {
         AggFunc::Count => Some(Term::lit_integer(values.len() as i64)),
@@ -503,71 +729,28 @@ fn eval_aggregate(
                     Some(b) => {
                         let ord = order_values(Some(v), Some(b));
                         let take = if func == AggFunc::Min {
-                            ord == std::cmp::Ordering::Less
+                            ord == Ordering::Less
                         } else {
-                            ord == std::cmp::Ordering::Greater
+                            ord == Ordering::Greater
                         };
                         Some(if take { v } else { b })
                     }
                 };
             }
-            best.map(|v| value_to_term(v))
+            best.map(value_to_term)
         }
     }
 }
 
-/// Shared tail of materialization: sort, distinct, slice, build the table.
-fn finish_table(
-    plan: &Plan,
-    mut materialized: Vec<(Vec<Option<Term>>, Vec<OrderKey>)>,
-) -> Result<ResultTable, SparqlError> {
-    if !plan.order_by.is_empty() {
-        materialized.sort_by(|(_, ka), (_, kb)| {
-            for (a, b) in ka.iter().zip(kb) {
-                let ord = order_values(
-                    a.value.as_ref().map(owned_to_value).as_ref(),
-                    b.value.as_ref().map(owned_to_value).as_ref(),
-                );
-                let ord = if a.ascending { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-    let mut out_rows: Vec<Vec<Option<Term>>> = materialized.into_iter().map(|(r, _)| r).collect();
-    if plan.distinct {
-        let mut seen = std::collections::HashSet::new();
-        out_rows.retain(|r| seen.insert(r.clone()));
-    }
-    if let Some(offset) = plan.offset {
-        out_rows.drain(..offset.min(out_rows.len()));
-    }
-    if let Some(limit) = plan.limit {
-        out_rows.truncate(limit);
-    }
-    let vars = plan.projection.iter().map(|(_, n)| n.clone()).collect();
-    Ok(ResultTable::new(vars, out_rows))
-}
-
-/// Evaluate only the `EXISTS` subpatterns `refs` names, seeded with `row`;
-/// non-referenced indices stay `None`.
-fn eval_exists_refs(
-    ctx: &mut Ctx<'_>,
-    plan: &Plan,
-    refs: &[usize],
-    row: &Row,
-) -> Vec<Option<bool>> {
-    let mut results = vec![None; plan.exists_nodes.len()];
+/// Evaluate the `EXISTS` subpatterns `refs` names, seeded with `row`, into
+/// the context's results; an evaluation that fails is an error value.
+fn eval_exists_refs(ctx: &mut Ctx<'_>, plan: &Plan, refs: &[usize], row: &Row) {
     for &idx in refs {
         if let Some(node) = plan.exists_nodes.get(idx) {
-            results[idx] = eval_node(ctx, node, plan, row)
-                .map(|rs| !rs.is_empty())
-                .ok();
+            let found = eval_node(ctx, node, plan, row).map(|rows| !rows.is_empty());
+            ctx.exists[idx] = found.ok();
         }
     }
-    results
 }
 
 /// The exists indices referenced by an expression (cached per filter).
@@ -580,7 +763,7 @@ fn exists_refs(expr: &CExpr) -> Vec<usize> {
 /// Convert a computed expression value into a term for projection / BIND.
 fn value_to_term(v: &Value<'_>) -> Term {
     match v {
-        Value::Term(t) => t.as_ref().clone(),
+        Value::Term(t) => t.term.as_ref().clone(),
         Value::Number(n) => Term::lit_double(*n),
         Value::Boolean(b) => Term::lit_bool(*b),
         Value::Str(s) => Term::lit_str(s.as_ref()),
@@ -589,14 +772,9 @@ fn value_to_term(v: &Value<'_>) -> Term {
 
 /// Evaluate a pattern node. `seed` supplies pre-bound slots: the all-None
 /// row at the top level, the enclosing row for `EXISTS` subpatterns.
-fn eval_node(
-    ctx: &mut Ctx<'_>,
-    node: &Node,
-    plan: &Plan,
-    seed: &Row,
-) -> Result<Vec<Row>, SparqlError> {
+fn eval_node(ctx: &mut Ctx<'_>, node: &Node, plan: &Plan, seed: &Row) -> Result<Rows, SparqlError> {
     match node {
-        Node::Unit => Ok(vec![seed.clone()]),
+        Node::Unit => Ok(Rows::one(seed)),
         Node::Bgp(patterns) => eval_bgp(ctx, patterns, seed),
         Node::Join(a, b) => {
             let left = eval_node(ctx, a, plan, seed)?;
@@ -604,7 +782,14 @@ fn eval_node(
                 return Ok(left);
             }
             let right = eval_node(ctx, b, plan, seed)?;
-            join_rows(&left, &right, ctx.budget)
+            let mut out = Rows::new(left.width);
+            for l in left.iter() {
+                for r in right.iter() {
+                    ctx.budget.charge(1)?;
+                    out.push_bound(l, |row| merge(row, r));
+                }
+            }
+            Ok(out)
         }
         Node::LeftJoin(a, b) => {
             let left = eval_node(ctx, a, plan, seed)?;
@@ -612,18 +797,15 @@ fn eval_node(
                 return Ok(left);
             }
             let right = eval_node(ctx, b, plan, seed)?;
-            let mut out = Vec::new();
-            for l in &left {
+            let mut out = Rows::new(left.width);
+            for l in left.iter() {
                 let mut matched = false;
-                for r in &right {
+                for r in right.iter() {
                     ctx.budget.charge(1)?;
-                    if let Some(merged) = merge_rows(l, r) {
-                        out.push(merged);
-                        matched = true;
-                    }
+                    matched |= out.push_bound(l, |row| merge(row, r));
                 }
                 if !matched {
-                    out.push(l.clone());
+                    out.push(l);
                 }
             }
             Ok(out)
@@ -631,72 +813,51 @@ fn eval_node(
         Node::Union(a, b) => {
             let mut left = eval_node(ctx, a, plan, seed)?;
             let right = eval_node(ctx, b, plan, seed)?;
-            left.extend(right);
+            left.slots.extend_from_slice(&right.slots);
+            left.len += right.len;
             Ok(left)
         }
         Node::Filter(expr, inner) => {
-            let rows = eval_node(ctx, inner, plan, seed)?;
-            filter_rows(ctx, plan, expr, rows)
+            let mut rows = eval_node(ctx, inner, plan, seed)?;
+            filter_rows(ctx, plan, expr, &mut rows)?;
+            Ok(rows)
         }
         Node::Extend(inner, slot, expr) => {
-            let rows = eval_node(ctx, inner, plan, seed)?;
+            let mut rows = eval_node(ctx, inner, plan, seed)?;
             let refs = exists_refs(expr);
-            let mut out = Vec::with_capacity(rows.len());
-            for mut row in rows {
+            for i in 0..rows.len() {
                 ctx.budget.charge(1)?;
-                let computed = {
-                    let exists_results = eval_exists_refs(ctx, plan, &refs, &row);
-                    let lookup = |s: usize| row.get(s).copied().flatten().map(|id| ctx.resolve(id));
-                    let exists = |idx: usize| exists_results.get(idx).copied().flatten();
-                    eval_expr(expr, &lookup, &exists).map(|v| value_to_term(&v))
-                };
+                eval_exists_refs(ctx, plan, &refs, rows.row(i));
                 // BIND on error leaves the variable unbound (per spec).
-                if let Some(term) = computed {
-                    let id = ctx.intern(&term);
-                    row[*slot] = Some(id);
+                if let Some(id) = ctx.eval_id(expr, rows.row(i)) {
+                    rows.slots[i * rows.width + *slot] = Some(id);
                 }
-                out.push(row);
             }
-            Ok(out)
+            Ok(rows)
         }
     }
 }
 
-/// Merge two rows if compatible (no conflicting bindings).
-fn merge_rows(a: &Row, b: &Row) -> Option<Row> {
-    let mut out = a.clone();
-    for (slot, rb) in b.iter().enumerate() {
-        match (out[slot], rb) {
-            (Some(x), Some(y)) if x != *y => return None,
-            (None, Some(y)) => out[slot] = Some(*y),
+/// Merge `other` into `row`; false when a slot is bound to different ids.
+fn merge(row: &mut Row, other: &Row) -> bool {
+    for (slot, theirs) in row.iter_mut().zip(other) {
+        match (*slot, theirs) {
+            (Some(x), Some(y)) if x != *y => return false,
+            (None, Some(y)) => *slot = Some(*y),
             _ => {}
         }
     }
-    Some(out)
+    true
 }
 
-fn join_rows(left: &[Row], right: &[Row], budget: &Budget) -> Result<Vec<Row>, SparqlError> {
-    let mut out = Vec::new();
-    for l in left {
-        for r in right {
-            budget.charge(1)?;
-            if let Some(m) = merge_rows(l, r) {
-                out.push(m);
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn eval_bgp(
-    ctx: &mut Ctx<'_>,
-    patterns: &[TriplePlan],
-    seed: &Row,
-) -> Result<Vec<Row>, SparqlError> {
+fn eval_bgp(ctx: &mut Ctx<'_>, patterns: &[TriplePlan], seed: &Row) -> Result<Rows, SparqlError> {
     let bound = seed.iter().map(Option::is_some).collect();
-    let mut rows: Vec<Row> = vec![seed.clone()];
-    for step in BgpSteps::new(ctx.graph, patterns, bound, ctx.options) {
-        rows = match_pattern(ctx, &step, rows)?;
+    let mut rows = Rows::one(seed);
+    let mut next = Rows::new(seed.len());
+    for step in BgpSteps::new(ctx.terms.graph, patterns, bound, ctx.options) {
+        next.clear();
+        match_pattern(ctx, &step, &rows, &mut next)?;
+        std::mem::swap(&mut rows, &mut next);
         if ctx.options.optimize {
             ctx.trace.record(&step, rows.len());
         }
@@ -707,21 +868,21 @@ fn eval_bgp(
     Ok(rows)
 }
 
+/// Append to `out` every extension of a row of `rows` by a match of the
+/// step's pattern.
 fn match_pattern(
     ctx: &mut Ctx<'_>,
     step: &Step<'_>,
-    rows: Vec<Row>,
-) -> Result<Vec<Row>, SparqlError> {
+    rows: &Rows,
+    out: &mut Rows,
+) -> Result<(), SparqlError> {
     let tp = step.pattern;
     // Resolve constant endpoints once.
-    let const_s = match &tp.subject {
-        PlanNodePattern::Term(t) => Some(ctx.intern(t)),
+    let mut constant = |n: &PlanNodePattern| match n {
+        PlanNodePattern::Term(t) => Some(ctx.terms.intern(Cow::Borrowed(t))),
         PlanNodePattern::Var(_) => None,
     };
-    let const_o = match &tp.object {
-        PlanNodePattern::Term(t) => Some(ctx.intern(t)),
-        PlanNodePattern::Var(_) => None,
-    };
+    let (const_s, const_o) = (constant(&tp.subject), constant(&tp.object));
     let endpoints = |row: &Row| {
         let bound = |n: &PlanNodePattern, constant: Option<TermId>| match n {
             PlanNodePattern::Var(v) => row[*v],
@@ -729,74 +890,79 @@ fn match_pattern(
         };
         (bound(&tp.subject, const_s), bound(&tp.object, const_o))
     };
+    let graph = ctx.terms.graph;
 
-    let mut out = Vec::new();
     match step.access {
         Access::Index(_) => {
             // A plain predicate resolves once (`None`: absent from the
             // graph); a variable one (`?s ?p ?o`) is read from each row
             // and bound per match.
             let plain = match &tp.path {
-                Path::Iri(iri) => Some(ctx.graph.term_id(&Term::iri(iri.clone()))),
+                Path::Iri(iri) => Some(graph.iri_id(iri)),
                 _ => None,
             };
-            for row in rows {
+            for row in rows.iter() {
                 ctx.budget.charge(1)?;
                 let p = match plain {
                     Some(Some(p)) => Some(p),
-                    Some(None) => return Ok(Vec::new()),
+                    Some(None) => return Ok(()),
                     None => tp.path_var.and_then(|pv| row[pv]),
                 };
-                let (s, o) = endpoints(&row);
+                let (s, o) = endpoints(row);
                 // An id outside the graph can never match a stored triple.
-                if [s, p, o].iter().flatten().any(|&id| !ctx.in_graph(id)) {
+                if [s, p, o]
+                    .iter()
+                    .flatten()
+                    .any(|&id| !ctx.terms.in_graph(id))
+                {
                     continue;
                 }
-                for [ms, mp, mo] in ctx.graph.matching_ids(s, p, o) {
+                for [ms, mp, mo] in graph.matching_ids(s, p, o) {
                     ctx.budget.charge(1)?;
-                    if let Some(mut new_row) = extend_row(&row, tp, ms, mo) {
+                    out.push_bound(row, |new_row| {
+                        let bound = bind_endpoints(new_row, tp, ms, mo);
                         if let Some(pv) = tp.path_var {
                             new_row[pv] = Some(mp);
                         }
-                        out.push(new_row);
-                    }
+                        bound
+                    });
                 }
             }
         }
         Access::Path(direction) => {
             // Endpoints outside the graph can only satisfy zero-length
             // paths; the path engine handles that case itself.
-            let path = compile_path(ctx.graph, &tp.path);
-            for row in rows {
+            let path = compile_path(graph, &tp.path);
+            for row in rows.iter() {
                 ctx.budget.charge(1)?;
-                let (s, o) = endpoints(&row);
-                let pairs = eval_path(ctx.graph, &path, s, o, ctx.budget, direction);
+                let (s, o) = endpoints(row);
+                let pairs = eval_path(graph, &path, s, o, ctx.budget, direction);
                 // The path engine bails out silently on exhaustion; turn
                 // the latched flag into the typed error here.
                 ctx.budget.check()?;
                 for (ms, mo) in pairs {
                     ctx.budget.charge(1)?;
-                    out.extend(extend_row(&row, tp, ms, mo));
+                    out.push_bound(row, |new_row| bind_endpoints(new_row, tp, ms, mo));
                 }
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Extend `row` with the matched endpoints, respecting repeated variables
-/// (e.g. `?x <p> ?x` only matches when both ends are equal).
-fn extend_row(row: &Row, tp: &TriplePlan, ms: TermId, mo: TermId) -> Option<Row> {
-    let mut new_row = row.clone();
+/// Bind the matched endpoints into `row`, respecting repeated variables
+/// (e.g. `?x <p> ?x` only matches when both ends are equal); false when
+/// they conflict with its bindings.
+fn bind_endpoints(row: &mut Row, tp: &TriplePlan, ms: TermId, mo: TermId) -> bool {
     for (node, id) in [(&tp.subject, ms), (&tp.object, mo)] {
         if let PlanNodePattern::Var(v) = node {
-            match new_row[*v] {
-                Some(existing) if existing != id => return None,
-                _ => new_row[*v] = Some(id),
+            match row[*v] {
+                Some(existing) if existing != id => return false,
+                _ => row[*v] = Some(id),
             }
         }
     }
-    Some(new_row)
+    true
 }
 
 #[cfg(test)]
@@ -1240,10 +1406,8 @@ mod tests {
             let alone = Budget::unlimited();
             let expected = evaluate(&g, plan, options, &alone).unwrap();
             let budget = core_budget.clone();
-            assert_eq!(
-                evaluate_tail(&g, plan, &core, options, &budget).unwrap(),
-                expected
-            );
+            let (solutions, trace) = evaluate_tail(&g, plan, &core, options, &budget).unwrap();
+            assert_eq!((solutions.table(), trace), expected);
             assert_eq!(budget.spent(), alone.spent());
         }
     }

@@ -9,21 +9,60 @@
 //! OptImatch stores costs and cardinalities as plain quoted strings (paper
 //! Fig. 2) and filters them numerically (paper Fig. 6), so strict typed-only
 //! comparison would make every generated filter a no-op.
+//!
+//! No term's text is parsed here: a [`TermRef`] carries its term's number,
+//! read once — from the graph's numeric column or the evaluation's overlay
+//! for a bound term, at translation for a query constant.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use optimatch_rdf::term::xsd;
-use optimatch_rdf::{Literal, Term};
+use optimatch_rdf::{Literal, Term, TermId};
 
 use crate::algebra::CExpr;
 use crate::ast::{ArithOp, Builtin, CmpOp};
 
+/// A term an expression reads: a query constant, or the term a slot is
+/// bound to, with its id.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TermRef<'a> {
+    /// The term (owned only when a builtin computed it).
+    pub term: Cow<'a, Term>,
+    /// Its id in the evaluation, when it is bound in the solution.
+    pub id: Option<TermId>,
+    /// Its [`Term::numeric_value`].
+    pub number: Option<f64>,
+}
+
+impl<'a> TermRef<'a> {
+    /// A term outside any solution, classified here.
+    pub fn new(term: Cow<'a, Term>) -> TermRef<'a> {
+        let number = term.numeric_value();
+        TermRef {
+            term,
+            id: None,
+            number,
+        }
+    }
+
+    /// True when both are the same term. Equal ids are equal terms: the
+    /// graph's pool and the evaluation's overlay are deduplicated and
+    /// disjoint.
+    fn same(&self, other: &TermRef<'_>) -> bool {
+        match (self.id, other.id) {
+            (Some(a), Some(b)) => a == b,
+            _ => self.term == other.term,
+        }
+    }
+}
+
 /// The result of evaluating an expression for one row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value<'a> {
-    /// An RDF term (borrowed from the row or the plan when possible).
-    Term(Cow<'a, Term>),
+    /// An RDF term (borrowed from the graph, the overlay or the plan when
+    /// possible).
+    Term(TermRef<'a>),
     /// A computed number.
     Number(f64),
     /// A computed boolean.
@@ -40,7 +79,7 @@ impl<'a> Value<'a> {
             Value::Number(n) => Some(*n),
             Value::Boolean(_) => None,
             Value::Str(s) => optimatch_rdf::numeric::parse_numeric(s),
-            Value::Term(t) => t.numeric_value(),
+            Value::Term(t) => t.number,
         }
     }
 
@@ -50,11 +89,7 @@ impl<'a> Value<'a> {
             Value::Str(s) => Some(Cow::Borrowed(s.as_ref())),
             Value::Number(n) => Some(Cow::Owned(optimatch_rdf::numeric::format_double(*n))),
             Value::Boolean(b) => Some(Cow::Borrowed(if *b { "true" } else { "false" })),
-            Value::Term(t) => match t.as_ref() {
-                Term::Iri(i) => Some(Cow::Borrowed(i.as_str())),
-                Term::Literal(l) => Some(Cow::Borrowed(l.lexical())),
-                Term::BlankNode(_) => None,
-            },
+            Value::Term(t) => term_text(&t.term).map(Cow::Borrowed),
         }
     }
 
@@ -64,11 +99,11 @@ impl<'a> Value<'a> {
             Value::Boolean(b) => Some(*b),
             Value::Number(n) => Some(*n != 0.0 && !n.is_nan()),
             Value::Str(s) => Some(!s.is_empty()),
-            Value::Term(t) => match t.as_ref() {
+            Value::Term(t) => match t.term.as_ref() {
                 Term::Literal(l) => {
                     if let Some(b) = l.boolean_value() {
                         Some(b)
-                    } else if let Some(n) = l.numeric_value() {
+                    } else if let Some(n) = t.number {
                         Some(n != 0.0 && !n.is_nan())
                     } else {
                         Some(!l.lexical().is_empty())
@@ -80,18 +115,32 @@ impl<'a> Value<'a> {
     }
 }
 
+/// A term's text as string builtins and ordering read it: an IRI's, a
+/// literal's lexical form; a blank node has none.
+pub fn term_text(term: &Term) -> Option<&str> {
+    match term {
+        Term::Iri(i) => Some(i.as_str()),
+        Term::Literal(l) => Some(l.lexical()),
+        Term::BlankNode(_) => None,
+    }
+}
+
 /// Evaluate an expression for one row. `get` resolves a slot to its bound
 /// term (`None` = unbound); `exists` evaluates an `EXISTS` subpattern by
 /// its plan index against the current row (`None` when the expression
 /// context has no subpattern support, which makes `EXISTS` an error).
 pub fn eval_expr<'a>(
     expr: &'a CExpr,
-    get: &impl Fn(usize) -> Option<&'a Term>,
+    get: &impl Fn(usize) -> Option<TermRef<'a>>,
     exists: &impl Fn(usize) -> Option<bool>,
 ) -> Option<Value<'a>> {
     match expr {
-        CExpr::Slot(s) => get(*s).map(|t| Value::Term(Cow::Borrowed(t))),
-        CExpr::Constant(t) => Some(Value::Term(Cow::Borrowed(t))),
+        CExpr::Slot(s) => get(*s).map(Value::Term),
+        CExpr::Constant(t, number) => Some(Value::Term(TermRef {
+            term: Cow::Borrowed(t),
+            id: None,
+            number: *number,
+        })),
         CExpr::Exists(idx, positive) => {
             let found = exists(*idx)?;
             Some(Value::Boolean(found == *positive))
@@ -155,7 +204,7 @@ pub fn eval_expr<'a>(
 fn eval_call<'a>(
     builtin: Builtin,
     args: &'a [CExpr],
-    get: &impl Fn(usize) -> Option<&'a Term>,
+    get: &impl Fn(usize) -> Option<TermRef<'a>>,
     exists: &impl Fn(usize) -> Option<bool>,
 ) -> Option<Value<'a>> {
     // BOUND inspects bindings structurally, before evaluation.
@@ -174,12 +223,12 @@ fn eval_call<'a>(
         Builtin::Datatype => {
             let v = eval_expr(&args[0], get, exists)?;
             let Value::Term(t) = &v else { return None };
-            let dt = match t.as_ref() {
+            let dt = match t.term.as_ref() {
                 Term::Literal(Literal::Typed { datatype, .. }) => datatype.clone(),
                 Term::Literal(Literal::Simple(_)) => xsd::STRING.to_string(),
                 _ => return None,
             };
-            Some(Value::Term(Cow::Owned(Term::iri(dt))))
+            Some(Value::Term(TermRef::new(Cow::Owned(Term::iri(dt)))))
         }
         Builtin::IsBlank | Builtin::IsIri | Builtin::IsLiteral => {
             let v = eval_expr(&args[0], get, exists)?;
@@ -187,9 +236,9 @@ fn eval_call<'a>(
                 return Some(Value::Boolean(false));
             };
             Some(Value::Boolean(match builtin {
-                Builtin::IsBlank => t.is_blank(),
-                Builtin::IsIri => t.is_iri(),
-                _ => t.is_literal(),
+                Builtin::IsBlank => t.term.is_blank(),
+                Builtin::IsIri => t.term.is_iri(),
+                _ => t.term.is_literal(),
             }))
         }
         Builtin::IsNumeric => {
@@ -270,12 +319,12 @@ pub fn compare(op: CmpOp, a: &Value<'_>, b: &Value<'_>) -> Option<bool> {
     match (a, b) {
         (Value::Boolean(x), Value::Boolean(y)) => Some(apply_ordering(op, x.cmp(y))),
         (Value::Term(x), Value::Term(y)) => match op {
-            CmpOp::Eq => Some(x == y),
-            CmpOp::Neq => Some(x != y),
+            CmpOp::Eq => Some(x.same(y)),
+            CmpOp::Neq => Some(!x.same(y)),
             _ => {
                 // Order literals by lexical form, other terms by identity text.
-                let xs = x.display_text();
-                let ys = y.display_text();
+                let xs = x.term.display_text();
+                let ys = y.term.display_text();
                 Some(apply_ordering(op, xs.cmp(&ys)))
             }
         },
@@ -388,7 +437,7 @@ mod tests {
     use super::*;
 
     fn num(v: f64) -> CExpr {
-        CExpr::Constant(Term::lit_double(v))
+        CExpr::constant(Term::lit_double(v))
     }
 
     fn no_exists(_: usize) -> Option<bool> {
@@ -409,7 +458,7 @@ mod tests {
         // "1.93187e+06" > 100 — the paper's FILTER must see numbers.
         let e = CExpr::Compare(
             CmpOp::Gt,
-            Box::new(CExpr::Constant(Term::lit_str("1.93187e+06"))),
+            Box::new(CExpr::constant(Term::lit_str("1.93187e+06"))),
             Box::new(num(100.0)),
         );
         assert_eq!(eval_bool(&e), Some(true));
@@ -419,14 +468,14 @@ mod tests {
     fn string_comparison_fallback() {
         let e = CExpr::Compare(
             CmpOp::Eq,
-            Box::new(CExpr::Constant(Term::lit_str("TBSCAN"))),
-            Box::new(CExpr::Constant(Term::lit_str("TBSCAN"))),
+            Box::new(CExpr::constant(Term::lit_str("TBSCAN"))),
+            Box::new(CExpr::constant(Term::lit_str("TBSCAN"))),
         );
         assert_eq!(eval_bool(&e), Some(true));
         let e = CExpr::Compare(
             CmpOp::Lt,
-            Box::new(CExpr::Constant(Term::lit_str("ABC"))),
-            Box::new(CExpr::Constant(Term::lit_str("ABD"))),
+            Box::new(CExpr::constant(Term::lit_str("ABC"))),
+            Box::new(CExpr::constant(Term::lit_str("ABD"))),
         );
         assert_eq!(eval_bool(&e), Some(true));
     }
@@ -442,8 +491,8 @@ mod tests {
     #[test]
     fn and_or_error_semantics() {
         let err = CExpr::Slot(0); // unbound ⇒ error
-        let t = CExpr::Constant(Term::lit_bool(true));
-        let f = CExpr::Constant(Term::lit_bool(false));
+        let t = CExpr::constant(Term::lit_bool(true));
+        let f = CExpr::constant(Term::lit_bool(false));
         // true || error = true
         assert_eq!(
             eval_bool(&CExpr::Or(Box::new(t.clone()), Box::new(err.clone()))),
@@ -466,7 +515,7 @@ mod tests {
     #[test]
     fn bound_checks_binding_presence() {
         let term = Term::lit_str("x");
-        let bound_fn = |s: usize| if s == 0 { Some(&term) } else { None };
+        let bound_fn = |s: usize| (s == 0).then(|| TermRef::new(Cow::Borrowed(&term)));
         let e0 = CExpr::Call(Builtin::Bound, vec![CExpr::Slot(0)]);
         let e1 = CExpr::Call(Builtin::Bound, vec![CExpr::Slot(1)]);
         assert_eq!(
@@ -485,7 +534,7 @@ mod tests {
 
     #[test]
     fn string_builtins() {
-        let s = CExpr::Constant(Term::lit_str("IXSCAN"));
+        let s = CExpr::constant(Term::lit_str("IXSCAN"));
         fn run(b: Builtin, args: Vec<CExpr>) -> Option<Value<'static>> {
             let call = Box::leak(Box::new(CExpr::Call(b, args)));
             eval_expr(call, &|_: usize| None, &no_exists)
@@ -493,7 +542,7 @@ mod tests {
         assert_eq!(
             run(
                 Builtin::Contains,
-                vec![s.clone(), CExpr::Constant(Term::lit_str("SCAN"))]
+                vec![s.clone(), CExpr::constant(Term::lit_str("SCAN"))]
             )
             .unwrap()
             .effective_boolean(),
@@ -502,7 +551,7 @@ mod tests {
         assert_eq!(
             run(
                 Builtin::StrStarts,
-                vec![s.clone(), CExpr::Constant(Term::lit_str("IX"))]
+                vec![s.clone(), CExpr::constant(Term::lit_str("IX"))]
             )
             .unwrap()
             .effective_boolean(),
@@ -522,11 +571,11 @@ mod tests {
     fn datatype_builtin() {
         let e = CExpr::Call(
             Builtin::Datatype,
-            vec![CExpr::Constant(Term::lit_integer(1))],
+            vec![CExpr::constant(Term::lit_integer(1))],
         );
         let v = eval_unbound(&e).unwrap();
         let Value::Term(t) = v else { panic!() };
-        assert_eq!(t.as_iri(), Some(xsd::INTEGER));
+        assert_eq!(t.term.as_iri(), Some(xsd::INTEGER));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub enum CPath {
 /// Resolve a parsed path against a graph's term pool.
 pub fn compile_path(graph: &Graph, path: &Path) -> CPath {
     match path {
-        Path::Iri(iri) => CPath::Pred(graph.term_id(&optimatch_rdf::Term::iri(iri.clone()))),
+        Path::Iri(iri) => CPath::Pred(graph.iri_id(iri)),
         Path::Var(_) => unreachable!("variable predicates are handled by the BGP evaluator"),
         Path::Inverse(p) => CPath::Inverse(Box::new(compile_path(graph, p))),
         Path::Sequence(a, b) => CPath::Seq(

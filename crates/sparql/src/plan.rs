@@ -337,7 +337,7 @@ impl<'a> PatternStats<'a> {
             },
             Path::Iri(iri) => {
                 let Some((p, ps)) = graph
-                    .term_id(&Term::iri(iri.clone()))
+                    .iri_id(iri)
                     .and_then(|p| Some((p, stats.predicate(p)?)))
                 else {
                     return PatternStats::Absent;
@@ -446,7 +446,7 @@ impl<'a> PatternStats<'a> {
 fn path_fan(graph: &Graph, stats: &GraphStats, path: &Path, dir: PathDirection) -> f64 {
     match path {
         Path::Iri(iri) => graph
-            .term_id(&Term::iri(iri.clone()))
+            .iri_id(iri)
             .and_then(|p| stats.predicate(p))
             .map_or(0.0, |ps| match dir {
                 PathDirection::Forward => ps.fan_out(),
@@ -497,7 +497,7 @@ fn plain_alternation(graph: &Graph, stats: &GraphStats, path: &Path) -> Option<[
     match path {
         Path::Iri(iri) => Some(
             graph
-                .term_id(&Term::iri(iri.clone()))
+                .iri_id(iri)
                 .and_then(|p| stats.predicate(p))
                 .map_or([0; 3], |ps| {
                     [ps.count, ps.distinct_subjects, ps.distinct_objects]
@@ -520,7 +520,7 @@ fn path_sources(graph: &Graph, stats: &GraphStats, path: &Path, dir: PathDirecti
     let cap = stats.terms as f64;
     let raw = match path {
         Path::Iri(iri) => graph
-            .term_id(&Term::iri(iri.clone()))
+            .iri_id(iri)
             .and_then(|p| stats.predicate(p))
             .map_or(0.0, |ps| match dir {
                 PathDirection::Forward => ps.distinct_subjects as f64,
