@@ -15,7 +15,8 @@
 //! * `ablation` — greedy vs. source-order SPARQL planning per built-in
 //!   pattern; asserts both orders find the same matches
 //! * `check`    — run scaled-down experiments and FAIL (exit 1) unless every
-//!   shape criterion from EXPERIMENTS.md holds: a reproduction gate for CI
+//!   shape criterion from EXPERIMENTS.md holds: a reproduction gate for CI.
+//!   Its Fig 9 and Fig 11 gates fit fuel, which is deterministic, not time
 //!
 //! `--quick` shrinks workload sizes ~10× for smoke runs (`ablation` always
 //! runs at its one size).
@@ -89,49 +90,51 @@ fn check() {
         }
     };
 
-    // Gate 1: Fig 9 linearity per pattern (sizes 50..250, 2 repeats).
+    // Gate 1: Fig 9 linearity per pattern: a search's fuel over 50..250
+    // QEPs. Fuel counts the evaluator's work and is deterministic, so the
+    // gate does not depend on the host's timing noise; `fig9` still
+    // prints the timed fits.
     {
         let w = paper_workload(250);
         let (ts, _) = transform_all(&w);
         for entry in builtin::evaluation_entries() {
             let matcher = Matcher::compile(&entry.pattern).expect("compiles");
             let sizes = [50usize, 100, 150, 200, 250];
-            let mut xs = Vec::new();
-            let mut ys = Vec::new();
-            for &n in &sizes {
-                let start = Instant::now();
-                for _ in 0..2 {
-                    let _ = search(&matcher, &ts[..n]);
-                }
-                xs.push(n as f64);
-                ys.push(start.elapsed().as_secs_f64());
-            }
+            let xs: Vec<f64> = sizes.iter().map(|&n| n as f64).collect();
+            let ys: Vec<f64> = sizes
+                .iter()
+                .map(|&n| search(&matcher, &ts[..n]).fuel_spent as f64)
+                .collect();
             let (_, _, r2) = linear_fit(&xs, &ys);
             gate(
                 "fig9-linearity",
                 r2 > 0.9,
-                format!("{} R²={r2:.4}", pattern_label(&entry.name)),
+                format!("{} fuel R²={r2:.4}", pattern_label(&entry.name)),
             );
         }
     }
 
-    // Gate 2: Fig 11 linearity in KB size (1/10/50 entries, 50 QEPs).
+    // Gate 2: Fig 11 linearity in KB size: a scan's fuel over 1/10/50
+    // entries and 50 QEPs. Each entry is charged its query core's fuel as
+    // if it ran alone, so the cores the scan shares (which make its time
+    // sublinear in entries) do not bend this line; `fig11` still prints
+    // the timed fit.
     {
         let w = paper_workload(50);
         let (ts, _) = transform_all(&w);
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for n in [1usize, 10, 50] {
-            let kb = synthetic_kb(n);
-            let start = Instant::now();
-            let _ = kb
-                .scan_workload_with(&ts, ScanOptions::default())
-                .expect("scans");
-            xs.push(n as f64);
-            ys.push(start.elapsed().as_secs_f64());
-        }
+        let sizes = [1usize, 10, 50];
+        let xs: Vec<f64> = sizes.iter().map(|&n| n as f64).collect();
+        let ys: Vec<f64> = sizes
+            .iter()
+            .map(|&n| {
+                let outcome = synthetic_kb(n)
+                    .scan_workload_with(&ts, ScanOptions::default())
+                    .expect("scans");
+                outcome.fuel_spent as f64
+            })
+            .collect();
         let (_, _, r2) = linear_fit(&xs, &ys);
-        gate("fig11-linearity", r2 > 0.95, format!("R²={r2:.4}"));
+        gate("fig11-linearity", r2 > 0.95, format!("fuel R²={r2:.4}"));
     }
 
     // Gate 3: Table 1 — exact manual precisions, exact tool.
