@@ -441,4 +441,27 @@ mod tests {
         let large = transform_qep(&fixtures::fig7());
         assert!(large.len() > small.len());
     }
+
+    /// The numeric column a FILTER reads is each term's numeric value, on
+    /// the figure plans and on a dozen generated ones.
+    #[test]
+    fn numeric_column_agrees_on_generated_plans() {
+        let generated =
+            optimatch_workload::generate_workload(&optimatch_workload::WorkloadConfig {
+                seed: 12,
+                num_qeps: 12,
+                generator: optimatch_workload::GeneratorConfig::default(),
+                injection: optimatch_workload::InjectionConfig::paper_rates(),
+            });
+        let plans = [fixtures::fig1(), fixtures::fig7(), fixtures::fig8()];
+        let mut numeric = 0;
+        for qep in plans.iter().chain(&generated.qeps) {
+            let graph = transform_qep(qep);
+            for (id, term) in graph.pool().iter() {
+                assert_eq!(graph.number(id), term.numeric_value(), "{}: {term}", qep.id);
+                numeric += usize::from(graph.number(id).is_some());
+            }
+        }
+        assert!(numeric > 1000, "{numeric} numeric terms");
+    }
 }

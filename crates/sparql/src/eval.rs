@@ -1436,4 +1436,275 @@ mod tests {
         };
         assert!(!inner(1).same_core(&inner(2)));
     }
+
+    /// A plan-shaped graph from a small deterministic generator: operators
+    /// with types and cardinalities, costs and row counts in every
+    /// spelling plans use (plain decimals, integers, exponents, padded
+    /// columns, values past `f64`), typed and language-tagged literals,
+    /// and stream edges.
+    fn generated_graph(seed: u64) -> Graph {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let pred = |n: &str| Term::iri(format!("http://optimatch/pred#{n}"));
+        let pop = |n: u64| Term::iri(format!("http://optimatch/qep#pop{n}"));
+        let mut g = GraphBuilder::new();
+        let ops = 3 + next(12);
+        for i in 0..ops {
+            let kind = ["NLJOIN", "TBSCAN", "IXSCAN", "SORT", "1.5"][next(5) as usize];
+            g.insert(pop(i), pred("hasPopType"), Term::lit_str(kind));
+            let value = next(1_000_000) as f64 / 8.0;
+            let spelled = match next(7) {
+                0 => Term::lit_str(format!("{value}")),
+                1 => Term::lit_str(format!("{value:e}")),
+                2 => Term::lit_str(format!("  {value:.1} ")),
+                3 => Term::lit_double(value),
+                4 => Term::lit_typed(format!("{value}"), optimatch_rdf::term::xsd::STRING),
+                5 => Term::lit_str("1e400"),
+                _ => Term::Literal(optimatch_rdf::Literal::LangTagged {
+                    lexical: format!("{value}"),
+                    lang: "en".into(),
+                }),
+            };
+            g.insert(pop(i), pred("hasEstimateCardinality"), spelled);
+            g.insert(
+                pop(i),
+                pred("hasOperatorNumber"),
+                Term::lit_integer(i as i64),
+            );
+            if i > 0 {
+                g.insert(pop(next(i)), pred("hasInputStream"), pop(i));
+            }
+        }
+        g.build()
+    }
+
+    #[test]
+    fn numeric_column_equals_each_terms_numeric_value() {
+        let mut graphs = vec![fig1_graph()];
+        graphs.extend((0..12).map(generated_graph));
+        let mut numeric = 0;
+        for g in &graphs {
+            for (id, term) in g.pool().iter() {
+                assert_eq!(g.number(id), term.numeric_value(), "{term}");
+                numeric += usize::from(g.number(id).is_some());
+            }
+        }
+        assert!(numeric > 100, "{numeric} numeric terms");
+    }
+
+    /// The number of fig1 operators a FILTER over their type `?t` (never
+    /// a number) and cardinality `?c` (always one) keeps; fig1 has an
+    /// NLJOIN of cardinality 1251 and a TBSCAN of 4043.
+    fn kept(filter: &str) -> usize {
+        let q = format!(
+            "{PFX}SELECT ?pop WHERE {{
+                ?pop p:hasPopType ?t . ?pop p:hasEstimateCardinality ?c .
+                FILTER ({filter})
+            }}"
+        );
+        execute(&fig1_graph(), &q).unwrap().len()
+    }
+
+    #[test]
+    fn mixed_numeric_comparisons_are_errors_under_not_or_and() {
+        // A number against a non-number is an error, not false: `!` keeps
+        // it an error, so neither form keeps a row.
+        for filter in ["?t = 5", "?t != 5", "!(?t = 5)", "!(?t != 5)"] {
+            assert_eq!(kept(filter), 0, "{filter}");
+        }
+        for filter in ["?c = \"TBSCAN\"", "!(?c != \"TBSCAN\")", "?c != ?t"] {
+            assert_eq!(kept(filter), 0, "{filter}");
+        }
+        // `||` is true when either side is; `&&` false when either side is.
+        assert_eq!(kept("?t = 5 || ?c > 2000"), 1);
+        assert_eq!(kept("?c > 2000 || ?t = 5"), 1);
+        assert_eq!(kept("?t = 5 || ?c > 9000"), 0);
+        assert_eq!(kept("!(?t = 5 && ?c > 2000)"), 1);
+        assert_eq!(kept("!(?c > 2000 && ?t = 5)"), 1);
+        assert_eq!(kept("!(?t = 5 || ?c > 2000)"), 1 - 1);
+        // Both sides numeric, whatever their spelling.
+        assert_eq!(kept("?c = \"4.043e3\""), 1);
+        assert_eq!(kept("?c != 4043"), 1);
+        assert_eq!(kept("?t = \"TBSCAN\" && !(?c < 4043)"), 1);
+    }
+
+    #[test]
+    fn bound_values_compare_with_graph_terms() {
+        let g = fig1_graph();
+        let rows = |body: &str| {
+            let q = format!("{PFX}SELECT ?pop WHERE {{ ?pop p:hasPopType ?t . {body} }}");
+            execute(&g, &q).unwrap().len()
+        };
+        // A computed "TBSCAN" is the graph's term: equal to the bound one.
+        assert_eq!(rows("BIND (UCASE(LCASE(?t)) AS ?u) FILTER (?u = ?t)"), 4);
+        // A computed term the graph lacks lives in the overlay: equal to
+        // no graph term, and equal to itself.
+        assert_eq!(rows("BIND (LCASE(?t) AS ?l) FILTER (?l != ?t)"), 4);
+        assert_eq!(rows("BIND (LCASE(?t) AS ?l) FILTER (?l = \"tbscan\")"), 1);
+        // An overlay number against a graph number compares by value:
+        // "4043.0"^^xsd:double is not the graph's plain "4043.0".
+        let q = format!(
+            "{PFX}SELECT ?d WHERE {{
+                ?pop p:hasEstimateCardinality ?c . BIND (?c * 1 AS ?d) FILTER (?d = ?c && ?d > 2000)
+            }}"
+        );
+        let t = execute(&g, &q).unwrap();
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.get(0, "d"), Some(&Term::lit_double(4043.0)));
+    }
+
+    #[test]
+    fn distinct_sees_an_overlay_value_equal_to_a_graph_term() {
+        let g = fig1_graph();
+        // Each type once, whether bound from the graph or computed, in a
+        // BIND or in the projection.
+        let q = format!(
+            "{PFX}SELECT DISTINCT ?x WHERE {{
+                {{ ?pop p:hasPopType ?x . }}
+                UNION {{ ?pop p:hasPopType ?t . BIND (UCASE(LCASE(?t)) AS ?x) }}
+            }}"
+        );
+        assert_eq!(execute(&g, &q).unwrap().len(), 4);
+        let q =
+            format!("{PFX}SELECT DISTINCT (UCASE(?t) AS ?x) WHERE {{ ?pop p:hasPopType ?t . }}");
+        assert_eq!(execute(&g, &q).unwrap().len(), 4);
+        // A computed value the graph lacks is one term however often it
+        // is computed.
+        let q =
+            format!("{PFX}SELECT DISTINCT (STRLEN(?t) AS ?n) WHERE {{ ?pop p:hasPopType ?t . }}");
+        assert_eq!(execute(&g, &q).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn order_by_ranks_unbound_then_numbers_then_text() {
+        let mut g = GraphBuilder::new();
+        let (key, value) = (Term::iri("p:key"), Term::iri("p:value"));
+        let values = [
+            Some(Term::iri("http://x/b")),
+            Some(Term::lit_str("abc")),
+            None,
+            Some(Term::lit_integer(10)),
+            Some(Term::lit_str("B")),
+            Some(Term::lit_str("9.5")),
+            // Text that reads as a number orders as one.
+            Some(Term::lit_typed("42", optimatch_rdf::term::xsd::STRING)),
+            Some(Term::lit_str("1e400")),
+        ];
+        for (i, v) in values.iter().enumerate() {
+            let s = Term::iri(format!("q:s{i}"));
+            g.insert(s.clone(), key.clone(), Term::lit_integer(i as i64));
+            if let Some(v) = v {
+                g.insert(s, value.clone(), v.clone());
+            }
+        }
+        let g = g.build();
+        let order = |modifier: &str| {
+            let q = format!(
+                "SELECT ?v WHERE {{ ?s <p:key> ?k . OPTIONAL {{ ?s <p:value> ?v . }} }} ORDER BY {modifier}"
+            );
+            let t = execute(&g, &q).unwrap();
+            (0..t.len())
+                .map(|i| t.get(i, "v").map(|v| v.display_text().into_owned()))
+                .collect::<Vec<_>>()
+        };
+        let text = |s: &str| Some(s.to_string());
+        let ascending = vec![
+            None,
+            text("9.5"),
+            text("10"),
+            text("42"),
+            text("1e400"),
+            text("B"),
+            text("abc"),
+            text("http://x/b"),
+        ];
+        assert_eq!(order("?v"), ascending);
+        let mut descending = ascending.clone();
+        descending.reverse();
+        assert_eq!(order("DESC(?v)"), descending);
+        // Ties keep the solutions' order (a stable sort): every value is
+        // bound or not, and ?k breaks nothing here.
+        let bound_first: Vec<_> = order("DESC(BOUND(?v))");
+        assert_eq!(bound_first.last(), Some(&None));
+        assert_eq!(bound_first.iter().filter(|v| v.is_some()).count(), 7);
+    }
+
+    #[test]
+    fn width_zero_bgps_count_their_rows() {
+        let mut g = GraphBuilder::new();
+        g.insert(Term::iri("a"), Term::iri("p"), Term::iri("b"));
+        g.insert(Term::iri("b"), Term::iri("p"), Term::iri("c"));
+        let g = g.build();
+        // No variable at all: the one solution binds nothing but counts.
+        let t = execute(&g, "SELECT * WHERE { <a> <p> <b> . <b> <p> <c> . }").unwrap();
+        assert_eq!((t.len(), t.vars().len()), (1, 0));
+        assert!(execute(&g, "SELECT * WHERE { <a> <p> <c> . }")
+            .unwrap()
+            .is_empty());
+        let count = |body: &str| {
+            let q = format!("SELECT (COUNT(*) AS ?n) WHERE {{ {body} }}");
+            let t = execute(&g, &q).unwrap();
+            t.get(0, "n").unwrap().numeric_value()
+        };
+        assert_eq!(count("<a> <p> <b> ."), Some(1.0));
+        assert_eq!(
+            count("<a> <p> <b> . { <a> <p> <b> . } UNION { <b> <p> <c> . }"),
+            Some(2.0)
+        );
+        assert_eq!(count("<a> <p> <c> ."), Some(0.0));
+        // Joined with a variable's rows, a width-0 side keeps them all.
+        let t = execute(&g, "SELECT ?x WHERE { <a> <p> <b> . ?x <p> ?y . }").unwrap();
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn aggregates_with_group_by_and_having() {
+        let mut g = GraphBuilder::new();
+        for (name, t, c) in [
+            ("a", "TBSCAN", "10"),
+            ("b", "TBSCAN", "3e1"),
+            ("c", "IXSCAN", "5.0"),
+            ("d", "SORT", "x"),
+        ] {
+            g.insert(Term::iri(name), Term::iri("p:type"), Term::lit_str(t));
+            g.insert(Term::iri(name), Term::iri("p:card"), Term::lit_str(c));
+        }
+        let g = g.build();
+        let groups = |having: &str| {
+            let q = format!(
+                "SELECT ?t (COUNT(?pop) AS ?n) (SUM(?c) AS ?total) (AVG(?c) AS ?mean)
+                 WHERE {{ ?pop <p:type> ?t . ?pop <p:card> ?c . }}
+                 GROUP BY ?t HAVING ({having}) ORDER BY ?t"
+            );
+            let t = execute(&g, &q).unwrap();
+            (0..t.len())
+                .map(|i| {
+                    let number = |v: &str| t.get(i, v).and_then(Term::numeric_value);
+                    (
+                        t.get(i, "t").unwrap().display_text().into_owned(),
+                        number("n"),
+                        number("total"),
+                        number("mean"),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let tbscan = ("TBSCAN".to_string(), Some(2.0), Some(40.0), Some(20.0));
+        let ixscan = ("IXSCAN".to_string(), Some(1.0), Some(5.0), Some(5.0));
+        // SUM over no number is 0 and AVG is unbound.
+        let sort = ("SORT".to_string(), Some(1.0), Some(0.0), None);
+        assert_eq!(
+            groups("COUNT(?pop) > 0"),
+            [ixscan.clone(), sort.clone(), tbscan.clone()]
+        );
+        assert_eq!(groups("SUM(?c) > 20"), [tbscan.clone()]);
+        assert_eq!(groups("COUNT(?pop) >= 1 && AVG(?c) < 10"), [ixscan]);
+        // An unbound AVG is an error: `||` needs its other side.
+        assert_eq!(groups("AVG(?c) > 10 || ?t = \"SORT\""), [sort, tbscan]);
+    }
 }
