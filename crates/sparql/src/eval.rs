@@ -44,7 +44,7 @@ use crate::algebra::{
 use crate::ast::Path;
 use crate::budget::Budget;
 use crate::error::SparqlError;
-use crate::expr::{eval_expr, order_values, term_text, TermRef, Value};
+use crate::expr::{eval_expr, order_values, term_text, truth, TermRef, Value};
 use crate::path::{compile_path, eval_path};
 use crate::plan::{Access, BgpSteps, EvalStats, PlanOptions, Step};
 use crate::results::ResultTable;
@@ -251,6 +251,14 @@ impl<'g> Ctx<'g> {
         eval_expr(expr, &get, &exists)
     }
 
+    /// Whether a FILTER over `expr` keeps `row`: its effective boolean
+    /// value, an error dropping the row.
+    fn holds(&self, expr: &CExpr, row: &Row) -> bool {
+        let get = |slot: usize| self.terms.get(row, slot);
+        let exists = |idx: usize| self.exists.get(idx).copied().flatten();
+        truth(expr, &get, &exists).unwrap_or(false)
+    }
+
     /// Evaluate `expr` on `row` to a term id, interning a computed value;
     /// `None` when the expression errs.
     fn eval_id(&mut self, expr: &CExpr, row: &Row) -> Option<TermId> {
@@ -445,10 +453,7 @@ fn keeps(
 ) -> Result<bool, SparqlError> {
     ctx.budget.charge(1)?;
     eval_exists_refs(ctx, plan, refs, row);
-    Ok(ctx
-        .eval(expr, row)
-        .and_then(|v| v.effective_boolean())
-        .unwrap_or(false))
+    Ok(ctx.holds(expr, row))
 }
 
 /// One solution's value of one ORDER BY key. It orders as
@@ -616,10 +621,7 @@ fn project_groups(ctx: &mut Ctx<'_>, plan: &Plan, rows: &[&Row]) -> (Rows, Vec<S
                 .collect();
             let substituted = substitute_aggregates(having, &agg_values);
             let get = |slot: usize| ctx.terms.get(&synthetic, slot);
-            let keep = eval_expr(&substituted, &get, &no_exists)
-                .and_then(|v| v.effective_boolean())
-                .unwrap_or(false);
-            if !keep {
+            if !truth(&substituted, &get, &no_exists).unwrap_or(false) {
                 continue;
             }
         }

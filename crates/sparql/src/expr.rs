@@ -129,18 +129,14 @@ pub fn term_text(term: &Term) -> Option<&str> {
 /// term (`None` = unbound); `exists` evaluates an `EXISTS` subpattern by
 /// its plan index against the current row (`None` when the expression
 /// context has no subpattern support, which makes `EXISTS` an error).
+/// `||`, `&&`, `!` and comparisons are decided by [`truth`].
 pub fn eval_expr<'a>(
     expr: &'a CExpr,
     get: &impl Fn(usize) -> Option<TermRef<'a>>,
     exists: &impl Fn(usize) -> Option<bool>,
 ) -> Option<Value<'a>> {
     match expr {
-        CExpr::Slot(s) => get(*s).map(Value::Term),
-        CExpr::Constant(t, number) => Some(Value::Term(TermRef {
-            term: Cow::Borrowed(t),
-            id: None,
-            number: *number,
-        })),
+        CExpr::Slot(_) | CExpr::Constant(..) => leaf(expr, get).flatten().map(Value::Term),
         CExpr::Exists(idx, positive) => {
             let found = exists(*idx)?;
             Some(Value::Boolean(found == *positive))
@@ -148,34 +144,8 @@ pub fn eval_expr<'a>(
         // Aggregate references are substituted away before evaluation
         // (grouped HAVING path); reaching one here is an error value.
         CExpr::AggregateRef(_) => None,
-        CExpr::Or(a, b) => {
-            // SPARQL || : true wins over error.
-            let av = eval_expr(a, get, exists).and_then(|v| v.effective_boolean());
-            let bv = eval_expr(b, get, exists).and_then(|v| v.effective_boolean());
-            match (av, bv) {
-                (Some(true), _) | (_, Some(true)) => Some(Value::Boolean(true)),
-                (Some(false), Some(false)) => Some(Value::Boolean(false)),
-                _ => None,
-            }
-        }
-        CExpr::And(a, b) => {
-            // SPARQL && : false wins over error.
-            let av = eval_expr(a, get, exists).and_then(|v| v.effective_boolean());
-            let bv = eval_expr(b, get, exists).and_then(|v| v.effective_boolean());
-            match (av, bv) {
-                (Some(false), _) | (_, Some(false)) => Some(Value::Boolean(false)),
-                (Some(true), Some(true)) => Some(Value::Boolean(true)),
-                _ => None,
-            }
-        }
-        CExpr::Not(a) => {
-            let v = eval_expr(a, get, exists)?.effective_boolean()?;
-            Some(Value::Boolean(!v))
-        }
-        CExpr::Compare(op, a, b) => {
-            let av = eval_expr(a, get, exists)?;
-            let bv = eval_expr(b, get, exists)?;
-            compare(*op, &av, &bv).map(Value::Boolean)
+        CExpr::Or(..) | CExpr::And(..) | CExpr::Not(_) | CExpr::Compare(..) => {
+            truth(expr, get, exists).map(Value::Boolean)
         }
         CExpr::Arith(op, a, b) => {
             let x = eval_expr(a, get, exists)?.as_number()?;
@@ -198,6 +168,58 @@ pub fn eval_expr<'a>(
             Some(Value::Number(-x))
         }
         CExpr::Call(builtin, args) => eval_call(*builtin, args, get, exists),
+    }
+}
+
+/// The effective boolean value of an expression for one row, `None` being
+/// an error: what a FILTER keeps a row on. The boolean operators and
+/// comparisons are evaluated here, in truth values, and a comparison of
+/// two slots or constants reads their terms without building values.
+pub fn truth<'a>(
+    expr: &'a CExpr,
+    get: &impl Fn(usize) -> Option<TermRef<'a>>,
+    exists: &impl Fn(usize) -> Option<bool>,
+) -> Option<bool> {
+    match expr {
+        // SPARQL || : true wins over error.
+        CExpr::Or(a, b) => match (truth(a, get, exists), truth(b, get, exists)) {
+            (Some(true), _) | (_, Some(true)) => Some(true),
+            (Some(false), Some(false)) => Some(false),
+            _ => None,
+        },
+        // SPARQL && : false wins over error.
+        CExpr::And(a, b) => match (truth(a, get, exists), truth(b, get, exists)) {
+            (Some(false), _) | (_, Some(false)) => Some(false),
+            (Some(true), Some(true)) => Some(true),
+            _ => None,
+        },
+        CExpr::Not(a) => truth(a, get, exists).map(|v| !v),
+        CExpr::Compare(op, a, b) => {
+            if let (Some(x), Some(y)) = (leaf(a, get), leaf(b, get)) {
+                return compare_terms(*op, &x?, &y?);
+            }
+            let av = eval_expr(a, get, exists)?;
+            let bv = eval_expr(b, get, exists)?;
+            compare(*op, &av, &bv)
+        }
+        _ => eval_expr(expr, get, exists)?.effective_boolean(),
+    }
+}
+
+/// A slot's bound term (`Some(None)` when unbound) or a constant; `None`
+/// for any other expression.
+fn leaf<'a>(
+    expr: &'a CExpr,
+    get: &impl Fn(usize) -> Option<TermRef<'a>>,
+) -> Option<Option<TermRef<'a>>> {
+    match expr {
+        CExpr::Slot(s) => Some(get(*s)),
+        CExpr::Constant(t, number) => Some(Some(TermRef {
+            term: Cow::Borrowed(t),
+            id: None,
+            number: *number,
+        })),
+        _ => None,
     }
 }
 
@@ -303,36 +325,46 @@ fn eval_call<'a>(
 
 /// Compare two values under a comparison operator; `None` is a type error.
 pub fn compare(op: CmpOp, a: &Value<'_>, b: &Value<'_>) -> Option<bool> {
-    // Numeric comparison dominates when both sides coerce.
+    if let (Value::Term(x), Value::Term(y)) = (a, b) {
+        return compare_terms(op, x, y);
+    }
+    // Numeric comparison dominates when both sides coerce; a number
+    // against a non-number is a type error, as for terms.
     let an = a.as_number();
     let bn = b.as_number();
     if let (Some(x), Some(y)) = (an, bn) {
         let ord = x.partial_cmp(&y)?;
         return Some(apply_ordering(op, ord));
     }
-    // Mixed numeric / non-numeric operands have no defined order: a type
-    // error (the row is dropped), matching SPARQL's cross-type semantics —
-    // `"CUST_DIM" > 10` must not succeed lexically.
     if an.is_some() != bn.is_some() {
         return None;
     }
     match (a, b) {
         (Value::Boolean(x), Value::Boolean(y)) => Some(apply_ordering(op, x.cmp(y))),
-        (Value::Term(x), Value::Term(y)) => match op {
-            CmpOp::Eq => Some(x.same(y)),
-            CmpOp::Neq => Some(!x.same(y)),
-            _ => {
-                // Order literals by lexical form, other terms by identity text.
-                let xs = x.term.display_text();
-                let ys = y.term.display_text();
-                Some(apply_ordering(op, xs.cmp(&ys)))
-            }
-        },
         _ => {
             let xs = a.as_str()?;
             let ys = b.as_str()?;
             Some(apply_ordering(op, xs.cmp(&ys)))
         }
+    }
+}
+
+/// [`compare`] on two terms: numbers compare as numbers, a number against
+/// a non-number is a type error, and other terms compare by identity
+/// (`=`, `!=`) or by their text.
+fn compare_terms(op: CmpOp, x: &TermRef<'_>, y: &TermRef<'_>) -> Option<bool> {
+    match (x.number, y.number) {
+        (Some(a), Some(b)) => Some(apply_ordering(op, a.partial_cmp(&b)?)),
+        // Mixed numeric / non-numeric operands have no defined order: a
+        // type error (the row is dropped), matching SPARQL's cross-type
+        // semantics — `"CUST_DIM" > 10` must not succeed lexically.
+        (Some(_), None) | (None, Some(_)) => None,
+        (None, None) => Some(match op {
+            CmpOp::Eq => x.same(y),
+            CmpOp::Neq => !x.same(y),
+            // Order literals by lexical form, other terms by identity text.
+            _ => apply_ordering(op, x.term.display_text().cmp(&y.term.display_text())),
+        }),
     }
 }
 
