@@ -1704,7 +1704,7 @@ mod tests {
             groups("COUNT(?pop) > 0"),
             [ixscan.clone(), sort.clone(), tbscan.clone()]
         );
-        assert_eq!(groups("SUM(?c) > 20"), [tbscan.clone()]);
+        assert_eq!(groups("SUM(?c) > 20"), std::slice::from_ref(&tbscan));
         assert_eq!(groups("COUNT(?pop) >= 1 && AVG(?c) < 10"), [ixscan]);
         // An unbound AVG is an error: `||` needs its other side.
         assert_eq!(groups("AVG(?c) > 10 || ?t = \"SORT\""), [sort, tbscan]);
