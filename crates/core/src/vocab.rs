@@ -53,7 +53,7 @@ pub fn iri_to_pop_id(iri: &str) -> Option<u32> {
 
 /// True when `iri` is [`object_iri`]`(qualified)`, compared without
 /// building that IRI.
-pub fn names_object(iri: &str, qualified: &str) -> bool {
+pub(crate) fn names_object(iri: &str, qualified: &str) -> bool {
     let local = iri
         .strip_prefix(POP_NS)
         .and_then(|local| local.strip_prefix("obj_"));

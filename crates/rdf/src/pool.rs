@@ -134,7 +134,7 @@ impl TermPool {
 
     /// Look up the id of the IRI term `iri` without building the term:
     /// one hash probe, no allocation.
-    pub fn get_iri(&self, iri: &str) -> Option<TermId> {
+    pub(crate) fn get_iri(&self, iri: &str) -> Option<TermId> {
         self.probe(hash_iri(iri), |t| matches!(t, Term::Iri(i) if i == iri))
     }
 

@@ -1,7 +1,7 @@
 //! Plan evaluation against a graph.
 //!
 //! The evaluator works on term ids from the first BGP step to its caller.
-//! A solution set is one flat table ([`Rows`]): each row is a slice of
+//! A solution set is one flat table (`Rows`): each row is a slice of
 //! `Option<TermId>`s, one per variable slot, and the table counts its rows,
 //! so rows of no slots count too. Each BGP step reads one table and
 //! appends to a second, and the two swap; joins, unions, BINDs and FILTERs
@@ -312,8 +312,9 @@ impl Solutions<'_> {
         row.iter().map(|id| id.map(|id| self.terms.resolve(id)))
     }
 
-    /// The solutions resolved into owned terms.
-    pub fn table(&self) -> ResultTable {
+    /// The solutions resolved into owned terms; [`evaluate`] is the one
+    /// caller.
+    pub(crate) fn table(&self) -> ResultTable {
         let vars = self.vars().map(str::to_string).collect();
         let rows = (0..self.len())
             .map(|i| self.row(i).map(|term| term.cloned()).collect())

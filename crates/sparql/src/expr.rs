@@ -117,7 +117,7 @@ impl<'a> Value<'a> {
 
 /// A term's text as string builtins and ordering read it: an IRI's, a
 /// literal's lexical form; a blank node has none.
-pub fn term_text(term: &Term) -> Option<&str> {
+pub(crate) fn term_text(term: &Term) -> Option<&str> {
     match term {
         Term::Iri(i) => Some(i.as_str()),
         Term::Literal(l) => Some(l.lexical()),
