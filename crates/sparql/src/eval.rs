@@ -53,7 +53,7 @@ use crate::results::ResultTable;
 type Row = [Option<TermId>];
 
 /// A solution set: `len` rows of `width` slots each, in one flat table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 struct Rows {
     width: usize,
     len: usize,
@@ -96,7 +96,8 @@ impl Rows {
     }
 
     fn push(&mut self, row: &Row) {
-        self.extend_row(row.iter().copied());
+        self.slots.extend_from_slice(row);
+        self.len += 1;
     }
 
     /// Append the row whose slots `slots` yields, `width` of them.

@@ -18,7 +18,9 @@
 //!
 //! The pipeline is conventional: [`lexer`] → [`parser`] → [`ast`] →
 //! [`algebra`] (variables become dense slots) → [`eval`] against an
-//! [`optimatch_rdf::Graph`], producing a [`results::ResultTable`].
+//! [`optimatch_rdf::Graph`], which works on term ids throughout and
+//! returns [`eval::Solutions`]; [`execute`] resolves them into a
+//! [`results::ResultTable`].
 //!
 //! ## Example
 //!
