@@ -13,13 +13,18 @@
 //! * [`graph`] — an immutable in-memory triple store: a [`GraphBuilder`]
 //!   collects triples once and sorts them into three indexes (SPO / POS /
 //!   OSP), so every triple pattern is one range of one index.
-//! * [`ntriples`] — N-Triples writer and parser (round-trip tested).
+//! * [`ntriples`] — an N-Triples writer, one triple per line.
 //! * [`turtle`] — a prefix-aware Turtle writer for human-readable dumps like
 //!   the paper's Figure 2.
 //! * [`numeric`] — lexical-to-value mapping for numeric literals, including
 //!   the exponent forms (`1.93187e+06`) that DB2 plans mix freely with plain
 //!   decimals — the exact formatting trap the paper's user study (§3.3)
 //!   blames for manual-search errors.
+//!
+//! The crate writes RDF text but reads none. As in the paper, a graph is
+//! built in memory from a plan by Algorithm 1 (`optimatch_core::transform`)
+//! or, on a warm start, from a repository's term table
+//! ([`Graph::from_parts`]); N-Triples and Turtle are only displays of it.
 //!
 //! ## Example
 //!

@@ -224,7 +224,7 @@ impl Term {
 /// control character is emitted as a `\uXXXX` numeric escape — predicate
 /// text scraped from query plans can legitimately carry form feeds or
 /// other control bytes, and emitting them raw would produce N-Triples
-/// that other parsers (and our own) reject.
+/// that parsers reject.
 pub fn escape_literal(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -341,9 +341,24 @@ mod tests {
         assert_eq!(lang.to_string(), "\"plan\"@en");
     }
 
+    /// What the N-Triples and Turtle writers put between a literal's
+    /// quotes: the named escapes, `\uXXXX` for every other C0 control
+    /// character, and everything else unchanged.
     #[test]
     fn escaping_covers_control_characters() {
-        assert_eq!(escape_literal("a\\b\n\r\t\"c"), "a\\\\b\\n\\r\\t\\\"c");
+        let raw = "a\\b\"c\nd\re\tf\u{0}g\u{B}h\u{1F}i caf\u{E9}";
+        let escaped = r#"a\\b\"c\nd\re\tf\u0000g\u000Bh\u001Fi café"#;
+        assert_eq!(escape_literal(raw), escaped);
+        assert_eq!(Term::lit_str(raw).to_string(), format!("\"{escaped}\""));
+        assert_eq!(
+            Term::lit_typed(raw, xsd::STRING).to_string(),
+            format!("\"{escaped}\"^^<{}>", xsd::STRING)
+        );
+        let lang = Term::Literal(Literal::LangTagged {
+            lexical: raw.into(),
+            lang: "fr".into(),
+        });
+        assert_eq!(lang.to_string(), format!("\"{escaped}\"@fr"));
     }
 
     #[test]

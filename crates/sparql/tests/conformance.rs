@@ -2,28 +2,31 @@
 //! graph with an exact expected result, covering the corners of the
 //! dialect the OptImatch compiler and ad-hoc users rely on.
 
-use optimatch_rdf::ntriples::from_ntriples;
-use optimatch_rdf::Graph;
+use optimatch_rdf::{Graph, GraphBuilder, Term};
 use optimatch_sparql::{ask, execute};
 
-/// The shared test graph, written as N-Triples for readability.
+/// The shared test graph: a join over a fetch and a table scan.
 fn graph() -> Graph {
-    from_ntriples(
-        r#"
-<q:p1> <p:type> "NLJOIN" .
-<q:p1> <p:card> "1251.0" .
-<q:p1> <p:inner> <q:p3> .
-<q:p1> <p:outer> <q:p2> .
-<q:p2> <p:type> "FETCH" .
-<q:p2> <p:card> "1251.0" .
-<q:p3> <p:type> "TBSCAN" .
-<q:p3> <p:card> "1.93187e+06" .
-<q:p3> <p:reads> <q:t1> .
-<q:t1> <p:name> "CUST_DIM" .
-<q:t1> <p:kind> "TABLE" .
-"#,
-    )
-    .expect("test graph parses")
+    let iri = |s: &str| Term::iri(s);
+    let lit = |s: &str| Term::lit_str(s);
+    let triples = [
+        ("q:p1", "p:type", lit("NLJOIN")),
+        ("q:p1", "p:card", lit("1251.0")),
+        ("q:p1", "p:inner", iri("q:p3")),
+        ("q:p1", "p:outer", iri("q:p2")),
+        ("q:p2", "p:type", lit("FETCH")),
+        ("q:p2", "p:card", lit("1251.0")),
+        ("q:p3", "p:type", lit("TBSCAN")),
+        ("q:p3", "p:card", lit("1.93187e+06")),
+        ("q:p3", "p:reads", iri("q:t1")),
+        ("q:t1", "p:name", lit("CUST_DIM")),
+        ("q:t1", "p:kind", lit("TABLE")),
+    ];
+    let mut g = GraphBuilder::new();
+    for (s, p, o) in triples {
+        g.insert(iri(s), iri(p), o);
+    }
+    g.build()
 }
 
 /// Run a query, returning each row rendered as `var=value` pairs.
