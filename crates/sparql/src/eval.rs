@@ -35,7 +35,6 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
-use optimatch_rdf::numeric::parse_numeric;
 use optimatch_rdf::{Graph, Term, TermId, TermPool};
 
 use crate::algebra::{
@@ -459,9 +458,9 @@ fn keeps(
 }
 
 /// One solution's value of one ORDER BY key. It orders as
-/// [`order_values`] orders the value read back from today's owned keys:
-/// unbound first, then numbers (text that reads as one included), then
-/// text. A bound term's text stays in the pool until the sort compares it.
+/// [`order_values`] orders the value: unbound first, then numbers
+/// ([`Value::as_number`], which FILTER reads too), then text. A bound
+/// term's text stays in the pool until the sort compares it.
 enum SortKey {
     Unbound,
     Number(f64),
@@ -478,13 +477,9 @@ impl SortKey {
         if let Some(n) = value.as_number() {
             return SortKey::Number(n);
         }
-        let text = value.as_str();
-        if let Some(n) = text.as_deref().and_then(parse_numeric) {
-            return SortKey::Number(n);
-        }
         match &value {
             Value::Term(TermRef { id: Some(id), .. }) => SortKey::Term(*id),
-            _ => SortKey::Text(text.map(Cow::into_owned).unwrap_or_default()),
+            _ => SortKey::Text(value.as_str().map(Cow::into_owned).unwrap_or_default()),
         }
     }
 
@@ -1595,8 +1590,14 @@ mod tests {
             Some(Term::lit_integer(10)),
             Some(Term::lit_str("B")),
             Some(Term::lit_str("9.5")),
-            // Text that reads as a number orders as one.
+            // Terms that FILTER does not read as numbers order as text,
+            // even when their text reads as one.
             Some(Term::lit_typed("42", optimatch_rdf::term::xsd::STRING)),
+            Some(Term::iri("12")),
+            Some(Term::Literal(optimatch_rdf::Literal::LangTagged {
+                lexical: "5".into(),
+                lang: "en".into(),
+            })),
             Some(Term::lit_str("1e400")),
         ];
         for (i, v) in values.iter().enumerate() {
@@ -1621,8 +1622,10 @@ mod tests {
             None,
             text("9.5"),
             text("10"),
-            text("42"),
             text("1e400"),
+            text("12"),
+            text("42"),
+            text("5"),
             text("B"),
             text("abc"),
             text("http://x/b"),
@@ -1635,7 +1638,7 @@ mod tests {
         // bound or not, and ?k breaks nothing here.
         let bound_first: Vec<_> = order("DESC(BOUND(?v))");
         assert_eq!(bound_first.last(), Some(&None));
-        assert_eq!(bound_first.iter().filter(|v| v.is_some()).count(), 7);
+        assert_eq!(bound_first.iter().filter(|v| v.is_some()).count(), 9);
     }
 
     #[test]

@@ -379,7 +379,8 @@ fn apply_ordering(op: CmpOp, ord: Ordering) -> bool {
     }
 }
 
-/// Ordering used by `ORDER BY`: unbound first, then numeric, then by term
+/// The order `ORDER BY` and `MIN`/`MAX` share: unbound first, then numbers
+/// ([`Value::as_number`], what FILTER compares as one), then by term
 /// text — a deterministic total order.
 pub fn order_values(a: Option<&Value<'_>>, b: Option<&Value<'_>>) -> Ordering {
     match (a, b) {
