@@ -50,11 +50,6 @@ impl HandlerGen {
         }
         format!("bnodeOfPop{child}_to_pop{parent}_{}", self.bnode_count)
     }
-
-    /// How many internal handlers have been issued.
-    pub fn internal_issued(&self) -> usize {
-        self.internal_count
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +68,6 @@ mod tests {
         let mut h = HandlerGen::new();
         assert_eq!(h.internal(), "internalHandler1");
         assert_eq!(h.internal(), "internalHandler2");
-        assert_eq!(h.internal_issued(), 2);
     }
 
     #[test]

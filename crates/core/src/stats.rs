@@ -9,7 +9,7 @@
 //! [`crate::rank::correlation_weight`] gives the accumulated history
 //! ([`MatchStatsStore::weights`], which `GET /v1/stats` reports). Served
 //! rankings do not use these weights: they come from the in-scan sample
-//! alone, and only tests call [`MatchStatsStore::apply_history_weighting`].
+//! alone.
 //!
 //! The store is an append-only sidecar file next to the workload
 //! repository. It uses [`optimatch_repo::frame`], the repository's own
@@ -43,7 +43,7 @@ use optimatch_repo::vfs::{std_fs, OpenMode, Vfs};
 use optimatch_repo::wire::{put_f64, put_str, put_u64, Cursor};
 
 use crate::error::Error;
-use crate::kb::{MatchSample, QepReport};
+use crate::kb::MatchSample;
 use crate::rank;
 
 /// The 8-byte magic every MatchStats sidecar starts with.
@@ -113,10 +113,10 @@ pub struct EntryWeight {
     pub entry: String,
     /// Recorded fired matches for this entry.
     pub samples: usize,
-    /// The correlation weight history assigns it (1.0 = neutral). Only
-    /// applied once `samples >= MIN_HISTORY`.
+    /// The correlation weight history assigns it (1.0 = neutral, and
+    /// 1.0 until `samples >= MIN_HISTORY`).
     pub weight: f64,
-    /// True when the entry has enough history for the weight to be used.
+    /// True once the entry has enough history for the weight to be learned.
     pub learned: bool,
 }
 
@@ -399,24 +399,17 @@ impl MatchStatsStore {
     }
 
     /// True once a structural failure stopped best-effort recording.
+    // Only tests read it: the one view that tells a full disk (transient)
+    // from a deleted sidecar (poisoned). devlint: allow(OD008)
     pub fn is_poisoned(&self) -> bool {
         // relaxed: monotonic hint flag.
         self.poisoned.load(Ordering::Relaxed)
     }
 
-    /// The learned correlation weight for one entry:
-    /// [`rank::correlation_weight`] over *recorded history* rather than
-    /// the in-scan sample. `None` until the entry has [`MIN_HISTORY`]
-    /// recorded matches.
-    pub fn entry_weight(&self, entry: &str) -> Option<f64> {
-        self.weights()
-            .into_iter()
-            .find(|w| w.entry == entry && w.learned)
-            .map(|w| w.weight)
-    }
-
     /// Learned per-entry state, sorted by entry name — what `GET
-    /// /v1/stats` exposes.
+    /// /v1/stats` exposes: [`rank::correlation_weight`] over *recorded
+    /// history* rather than the in-scan sample, once an entry has
+    /// [`MIN_HISTORY`] recorded matches (1.0 and not `learned` before).
     pub fn weights(&self) -> Vec<EntryWeight> {
         let state = self.lock();
         let mut by_entry: std::collections::BTreeMap<&str, (Vec<f64>, Vec<f64>)> =
@@ -442,36 +435,6 @@ impl MatchStatsStore {
                 }
             })
             .collect()
-    }
-
-    /// Re-weight scan reports by recorded history: each recommendation
-    /// whose entry has learned history is scaled by that entry's recorded
-    /// correlation weight, then reports re-rank. Entries without enough
-    /// history are untouched, so an empty store is a no-op — ranking
-    /// changes only once the fleet has submitted ≥ [`MIN_HISTORY`]
-    /// matches for an entry. No request path calls this yet.
-    pub fn apply_history_weighting(&self, reports: &mut [QepReport]) {
-        let weights: std::collections::BTreeMap<String, f64> = self
-            .weights()
-            .into_iter()
-            .filter(|w| w.learned && (w.weight - 1.0).abs() > f64::EPSILON)
-            .map(|w| (w.entry, w.weight))
-            .collect();
-        if weights.is_empty() {
-            return;
-        }
-        for report in reports.iter_mut() {
-            for r in &mut report.recommendations {
-                if let Some(w) = weights.get(&r.entry) {
-                    r.confidence = (r.confidence * w).clamp(0.0, 1.0);
-                }
-            }
-            report.recommendations.sort_by(|a, b| {
-                b.confidence
-                    .partial_cmp(&a.confidence)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-        }
     }
 }
 
@@ -619,72 +582,20 @@ mod tests {
             let x = 0.1 + 0.1 * i as f64;
             store.record(&[sample("e", x, x)], 0).unwrap();
         }
-        assert_eq!(store.entry_weight("e"), None);
+        let short = store.weights();
+        assert_eq!(short.len(), 1);
+        assert!(!short[0].learned);
+        assert_eq!(short[0].samples, MIN_HISTORY - 1);
+        assert_eq!(short[0].weight, 1.0);
         store.record(&[sample("e", 0.95, 0.95)], 0).unwrap();
-        let w = store.entry_weight("e").unwrap();
-        assert!((w - 1.2).abs() < 1e-9, "perfect correlation boosts: {w}");
         let listed = store.weights();
         assert_eq!(listed.len(), 1);
         assert!(listed[0].learned);
         assert_eq!(listed[0].samples, MIN_HISTORY);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn history_weighting_provably_reorders_ranking() {
-        let path = temp_path("reorder");
-        let store = MatchStatsStore::open(&path).unwrap();
-        let report = || crate::QepReport {
-            qep_id: "q1".into(),
-            recommendations: vec![
-                crate::Recommendation {
-                    entry: "anti".into(),
-                    text: "a".into(),
-                    confidence: 0.60,
-                    occurrences: 1,
-                },
-                crate::Recommendation {
-                    entry: "corr".into(),
-                    text: "b".into(),
-                    confidence: 0.55,
-                    occurrences: 1,
-                },
-            ],
-        };
-
-        // Below MIN_HISTORY the store is inert: ranking is unchanged.
-        let mut reports = vec![report()];
-        store.apply_history_weighting(&mut reports);
-        assert_eq!(reports[0].recommendations[0].entry, "anti");
-
-        // Fleet history arrives: `corr`'s confidence tracks cost share
-        // perfectly (weight 1.2) while `anti`'s anti-correlates (0.8).
-        for i in 0..MIN_HISTORY {
-            let x = 0.1 + 0.1 * i as f64;
-            store
-                .record(&[sample("corr", x, x), sample("anti", x, 1.0 - x)], 0)
-                .unwrap();
-        }
-
-        // Deterministic flip: 0.55 * 1.2 = 0.66 now outranks
-        // 0.60 * 0.8 = 0.48.
-        let mut reports = vec![report()];
-        store.apply_history_weighting(&mut reports);
-        let ranked: Vec<&str> = reports[0]
-            .recommendations
-            .iter()
-            .map(|r| r.entry.as_str())
-            .collect();
-        assert_eq!(ranked, ["corr", "anti"]);
-        assert!((reports[0].recommendations[0].confidence - 0.66).abs() < 1e-9);
-        assert!((reports[0].recommendations[1].confidence - 0.48).abs() < 1e-9);
-
-        // And the learned weights survive a reopen, so the reordering is
-        // stable across process restarts.
-        let again = MatchStatsStore::open(&path).unwrap();
-        let mut reports = vec![report()];
-        again.apply_history_weighting(&mut reports);
-        assert_eq!(reports[0].recommendations[0].entry, "corr");
+        let w = listed[0].weight;
+        assert!((w - 1.2).abs() < 1e-9, "perfect correlation boosts: {w}");
+        // The learned weights survive a reopen.
+        assert_eq!(MatchStatsStore::open(&path).unwrap().weights(), listed);
         std::fs::remove_file(&path).ok();
     }
 

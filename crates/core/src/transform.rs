@@ -252,13 +252,6 @@ pub fn transform_qep(qep: &Qep) -> Graph {
     g.build()
 }
 
-/// Transform a whole workload (the batch loop of Algorithm 1).
-pub fn transform_workload<'a>(qeps: impl IntoIterator<Item = &'a Qep>) -> Vec<TransformedQep> {
-    qeps.into_iter()
-        .map(|q| TransformedQep::new(q.clone()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,14 +418,6 @@ mod tests {
         assert!(ttl.contains("popURI:pop5"));
         assert!(ttl.contains("predURI:hasPopType"));
         assert!(ttl.contains("\"TBSCAN\""));
-    }
-
-    #[test]
-    fn transform_workload_batches() {
-        let batch = transform_workload([fixtures::fig1(), fixtures::fig8()].iter());
-        assert_eq!(batch.len(), 2);
-        assert!(!batch[0].graph.is_empty());
-        assert_eq!(batch[1].qep.id, "fig8");
     }
 
     #[test]

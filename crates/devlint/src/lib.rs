@@ -76,6 +76,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     files.sort();
 
     let mut out = Vec::new();
+    let mut sources = Vec::new();
     for rel in &files {
         let text = std::fs::read_to_string(root.join(rel))?;
         let rel_str = rel.to_string_lossy().replace('\\', "/");
@@ -83,8 +84,10 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
             out.extend(lint_manifest(&rel_str, &text));
         } else {
             out.extend(lint_rust_source(&rel_str, &text, scope_for(&rel_str), pr));
+            sources.push((rel_str, text));
         }
     }
+    out.extend(rules::lint_test_only_fns(&sources));
     out.sort_by(|a, b| (&a.file, a.line, a.code).cmp(&(&b.file, b.line, b.code)));
     Ok(out)
 }
@@ -308,6 +311,38 @@ mod tests {
         assert!(
             lint_rust_source("crates/x/tests/a.rs", fixture, SourceScope::Exempt, 8).is_empty()
         );
+    }
+
+    #[test]
+    fn od008_flags_a_pub_fn_that_only_its_own_tests_name() {
+        let lib = concat!(
+            "pub fn used_by_a_test_file() {}\n",
+            "pub fn test_only() {}\n",
+            "// Kept for fault tests. devlint: allow(OD008)\n",
+            "pub fn allowed() {}\n",
+            "pub fn called_here() {}\n",
+            "fn caller() { called_here() }\n",
+            "const NAME: &str = \"test_only\"; // test_only\n",
+            "#[cfg(test)]\n",
+            "mod tests {\n",
+            "    #[test]\n",
+            "    fn t() { super::test_only(); super::allowed(); }\n",
+            "}\n",
+        );
+        let files = [
+            ("crates/x/src/lib.rs", lib),
+            (
+                "crates/y/tests/it.rs",
+                "pub fn helper() { x::used_by_a_test_file(); } // x::test_only()\n",
+            ),
+        ]
+        .map(|(path, text)| (path.to_string(), text.to_string()));
+        // Comments and strings are no callers; a `pub fn` outside
+        // `crates/*/src` is not checked.
+        let diags = rules::lint_test_only_fns(&files);
+        assert_eq!(codes(&diags), ["OD008"]);
+        assert_eq!(diags[0].line, 2);
+        assert!(diags[0].message.contains("`pub fn test_only`"));
     }
 
     #[test]

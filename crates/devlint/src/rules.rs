@@ -11,10 +11,13 @@
 //! | OD005 | `#[deprecated]` item past (or without) its stated removal PR |
 //! | OD006 | direct `std::fs` / `File::` use in VFS-covered storage code |
 //! | OD007 | `pub fn X` beside a `pub fn X_with` / `X_budgeted` / `X_traced` / `X_with_options` / `X_parsed` / `X_directed` sibling |
+//! | OD008 | a `pub fn` in `crates/*/src` that only its own file's unit tests name (workspace pass) |
 //!
 //! OD001/OD002 look for the justification in a comment on the same line
 //! or within [`LOOKBACK`] lines above — the shape `rustc` shows in
 //! context, and far enough for a short justification paragraph.
+
+use std::collections::{HashMap, HashSet};
 
 use crate::lexer::{classify, has_word, Line};
 use crate::Diagnostic;
@@ -89,13 +92,7 @@ pub fn lint_rust_source(
     }
     let lines = classify(text);
     let mut out = Vec::new();
-
-    // Everything from the first `#[cfg(test)]` on is test code (tail
-    // test modules are the workspace convention).
-    let test_tail = lines
-        .iter()
-        .position(|l| l.code.contains("#[cfg(test)]"))
-        .unwrap_or(lines.len());
+    let test_tail = test_tail(&lines);
 
     for (i, line) in lines.iter().take(test_tail).enumerate() {
         if line.code.contains("Ordering::Relaxed")
@@ -192,6 +189,70 @@ fn lint_siblings(path: &str, lines: &[Line]) -> Vec<Diagnostic> {
         }
     }
     out
+}
+
+/// Where a file's test code starts: everything from the first
+/// `#[cfg(test)]` on is test code (tail test modules are the workspace
+/// convention).
+fn test_tail(lines: &[Line]) -> usize {
+    lines
+        .iter()
+        .position(|l| l.code.contains("#[cfg(test)]"))
+        .unwrap_or(lines.len())
+}
+
+/// OD008, a workspace pass over every `(path, text)` Rust file: one
+/// diagnostic at each `pub fn` in a `crates/*/src` file whose name no
+/// other file's code mentions and whose own file mentions it only at the
+/// definition and in its test tail. Comments and strings do not count.
+pub(crate) fn lint_test_only_fns(files: &[(String, String)]) -> Vec<Diagnostic> {
+    let classified: Vec<(&str, Vec<Line>)> = files
+        .iter()
+        .map(|(path, text)| (path.as_str(), classify(text)))
+        .collect();
+    // How many files' code mentions each identifier.
+    let mut mentions: HashMap<&str, usize> = HashMap::new();
+    for (_, lines) in &classified {
+        let words: HashSet<&str> = lines.iter().flat_map(|l| words(&l.code)).collect();
+        for word in words {
+            *mentions.entry(word).or_default() += 1;
+        }
+    }
+    let mut out = Vec::new();
+    for (path, lines) in &classified {
+        if !(path.starts_with("crates/") && path.contains("/src/")) {
+            continue;
+        }
+        let production = &lines[..test_tail(lines)];
+        for (i, line) in production.iter().enumerate() {
+            let Some(name) = pub_fn_name(&line.code) else {
+                continue;
+            };
+            let only_here = mentions.get(name) == Some(&1);
+            let only_at_definition = production
+                .iter()
+                .enumerate()
+                .all(|(j, l)| j == i || !has_word(&l.code, name));
+            if only_here && only_at_definition && !suppressed(lines, i, "OD008") {
+                out.push(Diagnostic::new(
+                    "OD008",
+                    path,
+                    i + 1,
+                    &format!(
+                        "`pub fn {name}` is named only by its own unit tests — delete it \
+                         with the tests that check only it, or say why it stays"
+                    ),
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// The identifiers in a line's code.
+fn words(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
 }
 
 /// The name a line declares with `pub fn`, if it opens with one.

@@ -86,11 +86,6 @@ impl LintReport {
         self.count(Severity::Note)
     }
 
-    /// The worst severity present, if any.
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.diagnostics.iter().map(|d| d.severity).max()
-    }
-
     /// Whether this run should exit non-zero: errors always fail;
     /// warnings fail under `deny_warnings`; notes never fail.
     pub fn has_failures(&self, deny_warnings: bool) -> bool {
@@ -216,7 +211,6 @@ mod tests {
         assert_eq!(report.warnings(), 0);
         assert!(!report.has_failures(true));
         assert!(report.notes() > 0, "recursive patterns carry OL104 notes");
-        assert_eq!(report.max_severity(), Some(Severity::Note));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Workload statistics: the summary numbers the paper reports about its
 //! customer workload ("1000 QEPs with 100+ operators on average, up to
-//! 550") and the bucketing its Figure 10 uses.
+//! 550").
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -79,20 +79,6 @@ pub fn workload_stats<'a>(qeps: impl IntoIterator<Item = &'a Qep>) -> WorkloadSt
     }
 }
 
-/// Assign an operator count to the paper's Figure-10 bucket label, or
-/// `None` for counts its workload never exhibited (251–500, >550).
-pub fn fig10_bucket(op_count: usize) -> Option<&'static str> {
-    match op_count {
-        0..=50 => Some("[0-50]"),
-        51..=100 => Some("[50-100]"),
-        101..=150 => Some("[100-150]"),
-        151..=200 => Some("[150-200]"),
-        201..=250 => Some("[200-250]"),
-        501..=550 => Some("[500-550]"),
-        _ => None,
-    }
-}
-
 impl fmt::Display for WorkloadStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -139,17 +125,6 @@ mod tests {
         assert_eq!(s.min_ops, 0);
         assert_eq!(s.mean_ops, 0.0);
         assert_eq!(s.cost_p50, 0.0);
-    }
-
-    #[test]
-    fn fig10_buckets_match_paper() {
-        assert_eq!(fig10_bucket(0), Some("[0-50]"));
-        assert_eq!(fig10_bucket(50), Some("[0-50]"));
-        assert_eq!(fig10_bucket(51), Some("[50-100]"));
-        assert_eq!(fig10_bucket(250), Some("[200-250]"));
-        assert_eq!(fig10_bucket(300), None); // empty in the paper too
-        assert_eq!(fig10_bucket(525), Some("[500-550]"));
-        assert_eq!(fig10_bucket(600), None);
     }
 
     #[test]

@@ -128,15 +128,6 @@ fn round_mantissa(m: &str, sig: usize) -> String {
     trim_zeros(s)
 }
 
-/// True when two lexical forms denote the same numeric value (used by tests
-/// and by the manual-search baseline to demonstrate what grep *cannot* see).
-pub fn numerically_equal(a: &str, b: &str) -> bool {
-    match (parse_numeric(a), parse_numeric(b)) {
-        (Some(x), Some(y)) => x == y,
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,9 +184,9 @@ mod tests {
 
     #[test]
     fn numeric_equality_across_spellings() {
-        assert!(numerically_equal("9600000", "9.6e+06"));
-        assert!(numerically_equal("0.0000096", "9.6e-06"));
-        assert!(!numerically_equal("9600000", "9.6e+05"));
-        assert!(!numerically_equal("abc", "abc"));
+        assert_eq!(parse_numeric("9600000"), parse_numeric("9.6e+06"));
+        assert_eq!(parse_numeric("0.0000096"), parse_numeric("9.6e-06"));
+        assert_ne!(parse_numeric("9600000"), parse_numeric("9.6e+05"));
+        assert_eq!(parse_numeric("abc"), None);
     }
 }

@@ -214,6 +214,8 @@ impl FaultPlan {
     }
 
     /// Fail the n-th operation of any kind (1-based).
+    // A fault hook of the simulated disk, kept with `fail_write` so a
+    // test can fault every operation class. devlint: allow(OD008)
     pub fn fail_op(mut self, n: u64, kind: FaultKind) -> FaultPlan {
         self.ops.insert(n, kind);
         self
@@ -226,12 +228,14 @@ impl FaultPlan {
     }
 
     /// Fault the n-th read (`read_at` or whole-file `read`).
+    // A fault hook of the simulated disk. devlint: allow(OD008)
     pub fn fail_read(mut self, n: u64, kind: FaultKind) -> FaultPlan {
         self.reads.insert(n, kind);
         self
     }
 
     /// Fail the n-th `sync_data`.
+    // A fault hook of the simulated disk. devlint: allow(OD008)
     pub fn fail_sync(mut self, n: u64, kind: FaultKind) -> FaultPlan {
         self.syncs.insert(n, kind);
         self
@@ -435,6 +439,8 @@ impl SimFs {
     }
 
     /// Contents of `path` that would survive a power cut right now.
+    // A view of the simulated disk for fault tests: what a power cut
+    // keeps, beside `image`'s what a reader sees. devlint: allow(OD008)
     pub fn durable_image(&self, path: &Path) -> Option<Vec<u8>> {
         self.lock().files.get(path).map(|n| n.synced.clone())
     }

@@ -62,12 +62,6 @@ pub fn request() {
     SHUTDOWN.store(true, Ordering::SeqCst);
 }
 
-/// Reset the flag (test isolation only; process shutdown is one-way in
-/// production).
-pub fn reset() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,6 +72,9 @@ mod tests {
     /// would interfere.
     #[test]
     fn flag_protocol_roundtrip_and_idempotent_install() {
+        // Shutdown is one-way in production; the test clears the flag
+        // itself.
+        let reset = || SHUTDOWN.store(false, Ordering::SeqCst);
         reset();
         assert!(!requested());
         request();

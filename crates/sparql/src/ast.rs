@@ -149,33 +149,6 @@ impl GroupGraphPattern {
             }
         }
     }
-
-    /// Every `OPTIONAL` block in this group, recursively — the subjects of
-    /// well-designedness analysis (Pérez et al.).
-    pub fn optionals(&self) -> Vec<&GroupGraphPattern> {
-        let mut out = Vec::new();
-        self.collect_optionals(&mut out);
-        out
-    }
-
-    fn collect_optionals<'a>(&'a self, out: &mut Vec<&'a GroupGraphPattern>) {
-        for element in &self.elements {
-            match element {
-                PatternElement::Optional(g) => {
-                    out.push(g);
-                    g.collect_optionals(out);
-                }
-                PatternElement::Group(g) => g.collect_optionals(out),
-                PatternElement::Union(a, b) => {
-                    a.collect_optionals(out);
-                    b.collect_optionals(out);
-                }
-                PatternElement::Triple(_)
-                | PatternElement::Filter(_)
-                | PatternElement::Bind(_, _) => {}
-            }
-        }
-    }
 }
 
 /// One element of a group graph pattern.
@@ -568,7 +541,6 @@ mod tests {
         }
         assert!(!bound.contains("unbound"));
         assert_eq!(q.where_clause.filters().len(), 1);
-        assert_eq!(q.where_clause.optionals().len(), 1);
     }
 
     #[test]

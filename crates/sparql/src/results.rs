@@ -52,11 +52,6 @@ impl ResultTable {
         self.rows.get(row)?.get(col)?.as_ref()
     }
 
-    /// Column index of a variable.
-    pub fn column(&self, var: &str) -> Option<usize> {
-        self.index.get(var).copied()
-    }
-
     /// Iterate rows as `(var, term)` binding maps.
     pub fn iter_bindings(&self) -> impl Iterator<Item = HashMap<&str, &Term>> {
         self.rows.iter().map(move |row| {
@@ -118,7 +113,6 @@ mod tests {
         assert_eq!(t.get(0, "TOP"), Some(&Term::iri("q:pop2")));
         assert_eq!(t.get(1, "BASE4"), None);
         assert_eq!(t.get(0, "missing"), None);
-        assert_eq!(t.column("BASE4"), Some(1));
     }
 
     #[test]
