@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use optimatch_core::{builtin, OptImatch, SessionManager};
 use optimatch_qep::{fixtures, format_qep};
+use optimatch_serve::http::MAX_HEAD_BYTES;
 use optimatch_serve::{ServeOptions, Server, ServerHandle};
 
 fn start(options: ServeOptions) -> ServerHandle {
@@ -82,6 +83,77 @@ fn unknown_route_is_404_and_method_mismatch_is_405() {
     );
     assert_eq!(status_of(&response), 405, "{response}");
     assert!(response.contains("Allow: GET"), "{response}");
+    server.shutdown();
+}
+
+/// A `GET /healthz` head padded by an `X-Pad` header to exactly `len`
+/// bytes, blank line included.
+fn padded_head(len: usize) -> Vec<u8> {
+    let bare = "GET /healthz HTTP/1.1\r\nX-Pad: \r\n\r\n".len();
+    format!(
+        "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "a".repeat(len - bare)
+    )
+    .into_bytes()
+}
+
+#[test]
+fn head_over_the_cap_is_400() {
+    let server = start(ServeOptions::new());
+    let response = send_raw(server.addr(), &padded_head(MAX_HEAD_BYTES));
+    assert_eq!(status_of(&response), 200, "{response}");
+    let response = send_raw(server.addr(), &padded_head(MAX_HEAD_BYTES + 1));
+    assert_eq!(status_of(&response), 400, "{response}");
+    assert!(response.contains("header block exceeds"), "{response}");
+    server.shutdown();
+}
+
+/// The body after the response's blank line.
+fn body_of(response: &str) -> &str {
+    response
+        .split_once("\r\n\r\n")
+        .map_or_else(|| panic!("no body in {response:?}"), |(_, body)| body)
+}
+
+/// `optimatch_http_bytes_in_total`, read from the metrics rendering.
+fn bytes_in(server: &ServerHandle) -> u64 {
+    let text = server.metrics().render_prometheus();
+    let line = text
+        .lines()
+        .find_map(|line| line.strip_prefix("optimatch_http_bytes_in_total "))
+        .unwrap_or_else(|| panic!("no bytes-in counter in {text}"));
+    line.parse().expect("a count")
+}
+
+#[test]
+fn a_post_reads_the_same_in_one_write_and_a_byte_per_write() {
+    let server = start(ServeOptions::new());
+    let body = format_qep(&fixtures::fig1());
+    let request = format!(
+        "POST /v1/diagnose HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+
+    let before = bytes_in(&server);
+    let whole = send_raw(server.addr(), request.as_bytes());
+    assert_eq!(status_of(&whole), 200, "{whole}");
+    assert!(body_of(&whole).contains("CUST_DIM"), "{whole}");
+    assert_eq!(bytes_in(&server) - before, request.len() as u64);
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    for byte in request.as_bytes() {
+        stream.write_all(std::slice::from_ref(byte)).expect("write");
+    }
+    let mut buf = Vec::new();
+    let _ = stream.read_to_end(&mut buf);
+    let bytewise = String::from_utf8_lossy(&buf);
+    assert_eq!(status_of(&bytewise), 200, "{bytewise}");
+    assert_eq!(body_of(&bytewise), body_of(&whole));
+    assert_eq!(bytes_in(&server) - before, 2 * request.len() as u64);
     server.shutdown();
 }
 

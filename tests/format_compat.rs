@@ -11,9 +11,12 @@ use std::path::{Path, PathBuf};
 use optimatch_suite::core::{
     builtin, repo, OpenOptions, OptImatch, ScanOptions, Source, TransformedQep,
 };
-use optimatch_suite::qep::{fixtures, format_qep};
+use optimatch_suite::qep::{fixtures, format_qep, parse_qep};
 use optimatch_suite::rdf::{Graph, IdTriple, Term};
-use optimatch_suite::repo::{RepoError, Repository, FORMAT_VERSION};
+use optimatch_suite::repo::{crc::crc32, RepoError, Repository, FORMAT_VERSION};
+use optimatch_suite::workload::{
+    generate_workload, GeneratorConfig, InjectionConfig, WorkloadConfig,
+};
 
 fn v1_repo() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/fixtures-v1.optirepo")
@@ -103,6 +106,44 @@ fn transform_assigns_the_stored_term_ids() {
             record.id
         );
     }
+}
+
+/// The v1 fixture pins three plans. Generated plans add what they lack:
+/// repeated `hasArg*` predicates, repeated numbers and streams whose
+/// source is a base object. Every graph's term table (each term's
+/// N-Triples form, in id order) and its id triples fold into one CRC-32,
+/// so a transform that interns any term in another order moves it.
+#[test]
+fn transform_ids_are_pinned_on_generated_plans() {
+    let generated = generate_workload(&WorkloadConfig {
+        seed: 12,
+        num_qeps: 24,
+        generator: GeneratorConfig::default(),
+        injection: InjectionConfig::paper_rates(),
+    });
+    let plans = [fixtures::fig1(), fixtures::fig7(), fixtures::fig8()];
+    let mut folded = Vec::new();
+    let mut triples = 0;
+    for qep in plans.iter().chain(&generated.qeps) {
+        let parsed = parse_qep(&format_qep(qep)).expect("formatted plans parse");
+        let graph = TransformedQep::new(parsed).graph;
+        for (_, term) in graph.pool().iter() {
+            folded.extend_from_slice(term.to_string().as_bytes());
+            folded.push(b'\n');
+        }
+        for triple in graph.iter_ids() {
+            for id in triple {
+                folded.extend_from_slice(&id.0.to_le_bytes());
+            }
+            triples += 1;
+        }
+    }
+    assert_eq!(triples, 45_485, "triples over the 27 plans");
+    assert_eq!(
+        crc32(&folded),
+        0x43B7_0427,
+        "term tables and id triples moved"
+    );
 }
 
 #[test]
