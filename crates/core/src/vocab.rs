@@ -25,9 +25,24 @@ pub fn pred(local: &str) -> Term {
     Term::iri(pred_iri(local))
 }
 
+/// Append the local name of operator `id`'s resource: `pop{id}`.
+pub(crate) fn push_pop_local(out: &mut String, id: u32) {
+    use std::fmt::Write;
+    let _ = write!(out, "pop{id}");
+}
+
+/// Append the local name of a base object's resource: `obj_` and the
+/// qualified name with each `.` replaced by `_`.
+pub(crate) fn push_object_local(out: &mut String, qualified: &str) {
+    out.push_str("obj_");
+    out.extend(qualified.chars().map(|c| if c == '.' { '_' } else { c }));
+}
+
 /// The resource IRI for operator number `id`.
 pub fn pop_iri(id: u32) -> String {
-    format!("{POP_NS}pop{id}")
+    let mut iri = POP_NS.to_string();
+    push_pop_local(&mut iri, id);
+    iri
 }
 
 /// The resource term for operator number `id`.
@@ -37,7 +52,9 @@ pub fn pop(id: u32) -> Term {
 
 /// The resource IRI for a base object by qualified name.
 pub fn object_iri(qualified: &str) -> String {
-    format!("{POP_NS}obj_{}", qualified.replace('.', "_"))
+    let mut iri = POP_NS.to_string();
+    push_object_local(&mut iri, qualified);
+    iri
 }
 
 /// The resource term for a base object.

@@ -1,6 +1,7 @@
 //! Property-based tests for the RDF substrate: the N-Triples writer's line
-//! form, index consistency across all binding shapes, scan counts and statistics
-//! against brute force, and numeric lexical laws.
+//! form, interning from borrowed text, index consistency across all binding
+//! shapes, scan counts and statistics against brute force, and numeric
+//! lexical laws.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -8,7 +9,8 @@ use proptest::prelude::*;
 
 use optimatch_rdf::ntriples::to_ntriples;
 use optimatch_rdf::numeric::{format_double, parse_numeric};
-use optimatch_rdf::{Graph, GraphBuilder, GraphStats, PredicateStats, Term, TermId};
+use optimatch_rdf::term::xsd;
+use optimatch_rdf::{Graph, GraphBuilder, GraphStats, IdTriple, PredicateStats, Term, TermId};
 
 /// Strategy for IRI-safe strings (no `>` or control chars).
 fn iri_string() -> impl Strategy<Value = String> {
@@ -101,6 +103,62 @@ proptest! {
         for line in lines {
             prop_assert!(line.ends_with(" ."), "{:?}", line);
             prop_assert!(!line.contains(|c: char| (c as u32) < 0x20), "{:?}", line);
+        }
+    }
+
+    /// The builder's borrowed IRI and plain-literal lookups find the
+    /// terms that interning owned `Term`s gives, in either order; four
+    /// kinds of term with one text get four ids; the built graph and a
+    /// graph rebuilt from its parts find every one under the same id.
+    #[test]
+    fn borrowed_interning_agrees_with_owned_terms(
+        texts in proptest::collection::vec(
+            proptest::string::string_regex("[ -~\n\r\t\u{0}\u{7f}\u{1f}àé€😀]{0,12}").unwrap(),
+            1..8,
+        ),
+    ) {
+        let mut b = GraphBuilder::new();
+        let mut interned = Vec::new();
+        for (i, text) in texts.iter().enumerate() {
+            let (iri, lit) = if i % 2 == 0 {
+                let ids = (b.iri(text), b.literal(text));
+                prop_assert_eq!(b.term(Term::iri(text.as_str())), ids.0);
+                prop_assert_eq!(b.term(Term::lit_str(text.as_str())), ids.1);
+                ids
+            } else {
+                let ids = (
+                    b.term(Term::iri(text.as_str())),
+                    b.term(Term::lit_str(text.as_str())),
+                );
+                prop_assert_eq!(b.iri(text), ids.0);
+                prop_assert_eq!(b.literal(text), ids.1);
+                ids
+            };
+            let bnode = b.term(Term::bnode(text.as_str()));
+            let typed = b.term(Term::lit_typed(text.as_str(), xsd::STRING));
+            let ids = [iri, bnode, lit, typed];
+            prop_assert_eq!(ids.iter().collect::<BTreeSet<_>>().len(), 4, "{:?}", text);
+            b.push([bnode, iri, lit]);
+            b.push([iri, iri, typed]);
+            interned.push((text, ids));
+        }
+        let g = b.build();
+        let terms: Vec<Term> = g.pool().iter().map(|(_, t)| t.clone()).collect();
+        let triples: Vec<IdTriple> = g.iter_ids().collect();
+        let rebuilt = Graph::from_parts(terms, &triples).expect("built parts rebuild");
+        prop_assert_eq!(rebuilt.iter_ids().collect::<Vec<_>>(), triples);
+        for graph in [&g, &rebuilt] {
+            for (text, [iri, bnode, lit, typed]) in &interned {
+                let text = text.as_str();
+                prop_assert_eq!(graph.iri_id(text), Some(*iri));
+                prop_assert_eq!(graph.term_id(&Term::iri(text)), Some(*iri));
+                prop_assert_eq!(graph.term_id(&Term::bnode(text)), Some(*bnode));
+                prop_assert_eq!(graph.term_id(&Term::lit_str(text)), Some(*lit));
+                prop_assert_eq!(
+                    graph.term_id(&Term::lit_typed(text, xsd::STRING)),
+                    Some(*typed)
+                );
+            }
         }
     }
 
