@@ -10,9 +10,10 @@
 //!   automatically incremented on the server";
 //! * **relationship handlers** — the stream predicates connecting result
 //!   handlers;
-//! * **blank-node handlers** — `?bnodeOfPop2_to_pop1`, … — match the
-//!   transformation's blank nodes, ensuring "the uniqueness of each
-//!   resource instance" when a subtree has several consumers.
+//! * **blank-node handlers** — `?bnodeOfPop2_to_pop1_1`, … (the paper's
+//!   names with a count suffix) — match the transformation's blank
+//!   nodes, ensuring "the uniqueness of each resource instance" when a
+//!   subtree has several consumers.
 
 /// Stateful generator of handler variable names for one compilation.
 #[derive(Debug, Default)]
@@ -40,14 +41,12 @@ impl HandlerGen {
     }
 
     /// A blank-node handler for the edge child → parent:
-    /// `bnodeOfPop{child}_to_pop{parent}`. Repeated edges between the same
-    /// pair (legal when a pattern constrains two parallel streams) get a
-    /// disambiguating suffix.
+    /// `bnodeOfPop{child}_to_pop{parent}_{n}`. Every name carries the
+    /// suffix `n`, this generator's count of blank nodes so far, so
+    /// repeated edges between the same pair (legal when a pattern
+    /// constrains two parallel streams) get distinct handlers.
     pub fn bnode(&mut self, child: u32, parent: u32) -> String {
         self.bnode_count += 1;
-        if self.bnode_count == 1 {
-            // Common case keeps the paper's exact naming.
-        }
         format!("bnodeOfPop{child}_to_pop{parent}_{}", self.bnode_count)
     }
 }

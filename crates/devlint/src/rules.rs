@@ -330,13 +330,22 @@ fn suppressed(lines: &[Line], i: usize, code: &str) -> bool {
         .any(|l| l.comment.contains(&needle))
 }
 
-/// The current PR number: one line of `CHANGES.md` per landed PR, so the
-/// PR under construction is line-count + 1. Callers pass the lines.
+/// The current PR number: one more than the largest `N` among the
+/// `CHANGES.md` lines that begin `PR N:`. Other lines (`FOUND:`,
+/// `MENDED:`) and gaps in the numbering do not count. Callers pass the
+/// lines.
 pub fn current_pr(changes_md_lines: &[&str]) -> usize {
     changes_md_lines
         .iter()
-        .filter(|l| !l.trim().is_empty())
-        .count()
+        .filter_map(|l| {
+            l.strip_prefix("PR ")?
+                .split_once(':')?
+                .0
+                .parse::<usize>()
+                .ok()
+        })
+        .max()
+        .unwrap_or(0)
         + 1
 }
 
